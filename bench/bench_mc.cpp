@@ -17,7 +17,8 @@
 // Counters exported per benchmark (into BENCH_pr10.json via
 // tools/bench.sh):
 //  - BM_Mc_DporExplore: schedules_explored, schedules_pruned,
-//    steps_executed, pruning_ratio_vs_naive (naive explores >= that many
+//    steps_executed (each schedule-tree edge once: backtracking restores
+//    a checkpoint instead of replaying the prefix), pruning_ratio_vs_naive (naive explores >= that many
 //    times more schedules before its budget expires WITHOUT finishing —
 //    a lower bound on the true ratio), and items_per_second doubles as
 //    schedules/sec.

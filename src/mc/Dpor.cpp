@@ -11,6 +11,7 @@
 #include "runtime/RuntimeFault.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 
 using namespace fearless;
@@ -76,182 +77,193 @@ Expected<McReport> mc::explore(const MachineFactory &Factory,
                                const McOptions &Opts) {
   if (!Factory)
     return fail("mc: no machine factory");
+  std::unique_ptr<Machine> M = Factory();
+  if (!M)
+    return fail("mc: machine factory returned no machine");
   McReport Rep;
   ScheduleTree Tree;
   std::optional<uint64_t> BaselineFp;
 
-  bool More = true;
-  while (More) {
-    std::unique_ptr<Machine> M = Factory();
-    if (!M)
-      return fail("mc: machine factory returned no machine");
+  auto InjectedFault = [&M] {
+    return M->lastFault() &&
+           M->lastFault()->Kind == RuntimeFaultKind::Injected;
+  };
 
+  if (ExpectedVoid B = M->beginStepping(); !B) {
+    // A thread.start fault fires before any scheduling choice, so it is
+    // schedule-independent: an allowed fault outcome, never a
+    // counterexample.
+    if (InjectedFault())
+      ++Rep.SchedulesExplored;
+    else
+      Rep.Counterexample = McCounterexample{
+          Tree.prefixSchedule(0), B.error().Message, M->blockedStateDump()};
+    return Rep;
+  }
+
+  /// Checkpoints[k] holds the machine just before node k stepped; only
+  /// branching nodes save one, and the slots keep their buffers across
+  /// the whole exploration.
+  std::vector<Machine::Checkpoint> Checkpoints;
+  size_t Depth = 0;
+  uint32_t Prev = UINT32_MAX;
+  int64_t Preempts = 0;
+  std::vector<McStepRecord> CurSleep, NextSleep;
+  /// Node indices whose records can interact cross-thread — the only
+  /// candidates race detection needs to scan.
+  std::vector<size_t> Interacting;
+
+  while (true) {
     enum class End { Completed, FaultEnded, Clipped, Redundant };
     End EndKind = End::Completed;
     bool CountPrune = false;
     std::optional<McCounterexample> Violation;
-    size_t Depth = 0;
-    uint32_t Prev = UINT32_MAX;
-    int64_t Preempts = 0;
-    std::vector<McStepRecord> CurSleep;
-    /// Node indices whose records can interact cross-thread — the only
-    /// candidates race detection needs to scan.
-    std::vector<size_t> Interacting;
 
-    auto InjectedFault = [&M] {
-      return M->lastFault() &&
-             M->lastFault()->Kind == RuntimeFaultKind::Injected;
-    };
-
-    if (ExpectedVoid B = M->beginStepping(); !B) {
-      // A thread.start fault fires before any scheduling choice, so it
-      // is schedule-independent: an allowed fault outcome, never a
-      // counterexample.
-      if (InjectedFault())
-        EndKind = End::FaultEnded;
-      else
-        Violation = McCounterexample{Tree.prefixSchedule(0),
-                                     B.error().Message,
-                                     M->blockedStateDump()};
-    } else {
-      while (true) {
-        Expected<MachineProgress> P = M->checkProgress();
-        if (!P) {
-          if (InjectedFault()) {
-            EndKind = End::FaultEnded;
-          } else {
-            Violation = McCounterexample{Tree.prefixSchedule(Depth),
-                                         P.error().Message,
-                                         M->blockedStateDump()};
-          }
-          break;
-        }
-        if (*P == MachineProgress::Done)
-          break;
-        if (*P == MachineProgress::Deadlock) {
-          // deadlockMessage() already embeds the blocked-state dump.
-          Violation = McCounterexample{Tree.prefixSchedule(Depth),
-                                       M->deadlockMessage(), ""};
-          break;
-        }
-        if (Depth >= Opts.MaxDepth) {
-          EndKind = End::Clipped;
-          break;
-        }
-
-        const std::vector<size_t> &Runnable = M->runnableThreads();
-        bool Frontier = Depth >= Tree.Nodes.size();
-        uint32_t Chosen;
-        if (!Frontier) {
-          // Forced prefix replay; the machine is deterministic, so the
-          // enabled set must reproduce exactly.
-          ChoiceNode &N = Tree.Nodes[Depth];
-          bool Same = N.Enabled.size() == Runnable.size();
-          for (size_t I = 0; Same && I < Runnable.size(); ++I)
-            Same = N.Enabled[I] == Runnable[I];
-          if (!Same)
-            return fail("mc: nondeterministic replay — the enabled set "
-                        "changed under an identical choice prefix "
-                        "(machine bug)");
-          Chosen = N.Chosen;
+    while (true) {
+      Expected<MachineProgress> P = M->checkProgress();
+      if (!P) {
+        if (InjectedFault()) {
+          EndKind = End::FaultEnded;
         } else {
-          ChoiceNode N;
-          N.Enabled.reserve(Runnable.size());
-          for (size_t R : Runnable)
-            N.Enabled.push_back(static_cast<uint32_t>(R));
-          N.Branching = N.Enabled.size() >= 2;
-          N.Sleep = CurSleep;
-          std::vector<uint32_t> Cands;
-          for (uint32_t T : N.Enabled)
-            if (!Opts.UseDpor || !ScheduleTree::isSleeping(N, T))
-              Cands.push_back(T);
-          bool BoundClipped = false;
-          if (Opts.PreemptionBound >= 0 &&
-              Preempts >= Opts.PreemptionBound && Prev != UINT32_MAX &&
-              ScheduleTree::isEnabled(N, Prev)) {
-            // Budget spent: only the non-preemptive continuation may go
-            // on. If it is asleep, the remaining continuations all need
-            // a preemption — outside the bounded space.
-            if (std::find(Cands.begin(), Cands.end(), Prev) !=
-                Cands.end())
-              Cands.assign(1, Prev);
-            else {
-              Cands.clear();
-              BoundClipped = true;
-            }
-          }
-          if (Cands.empty()) {
-            EndKind = End::Redundant;
-            CountPrune = !BoundClipped;
-            break;
-          }
-          Chosen = std::find(Cands.begin(), Cands.end(), Prev) !=
-                           Cands.end()
-                       ? Prev
-                       : Cands[0];
-          N.Chosen = Chosen;
-          if (Opts.UseDpor)
-            N.Backtrack.push_back(Chosen);
-          else
-            N.Backtrack = N.Enabled; // naive DFS: explore everything
-          Tree.Nodes.push_back(std::move(N));
+          Violation = McCounterexample{Tree.prefixSchedule(Depth),
+                                       P.error().Message,
+                                       M->blockedStateDump()};
         }
+        break;
+      }
+      if (*P == MachineProgress::Done)
+        break;
+      if (*P == MachineProgress::Deadlock) {
+        // deadlockMessage() already embeds the blocked-state dump.
+        Violation = McCounterexample{Tree.prefixSchedule(Depth),
+                                     M->deadlockMessage(), ""};
+        break;
+      }
+      if (Depth >= Opts.MaxDepth) {
+        EndKind = End::Clipped;
+        break;
+      }
 
-        ChoiceNode &Node = Tree.Nodes[Depth];
-        if (Prev != UINT32_MAX && Chosen != Prev &&
-            ScheduleTree::isEnabled(Node, Prev))
-          ++Preempts;
-
-        Expected<McStepRecord> R = M->stepChosen(Chosen);
-        ++Rep.StepsExecuted;
-        if (!R) {
-          if (InjectedFault()) {
-            // The fault ends the execution; for backtracking purposes
-            // the step still happened. Its effects are the fault
-            // counters themselves, so a conservative all-points mask
-            // keeps the dependence sound.
-            if (Frontier) {
-              Node.Record.Thread = Chosen;
-              Node.Record.StepKind = McStepRecord::Kind::Local;
-              Node.Record.FaultPointsTouched = ~0u;
-              if (Opts.UseDpor)
-                raceDetect(Tree, Interacting, Depth, Node.Record);
-            }
-            EndKind = End::FaultEnded;
-          } else {
-            Violation = McCounterexample{Tree.prefixSchedule(Depth + 1),
-                                         R.error().Message,
-                                         M->blockedStateDump()};
+      const std::vector<size_t> &Runnable = M->runnableThreads();
+      bool Frontier = Depth >= Tree.Nodes.size();
+      uint32_t Chosen;
+      if (!Frontier) {
+        // The node just restored; its next alternative steps now. The
+        // machine is deterministic, so the enabled set must reproduce.
+        ChoiceNode &N = Tree.Nodes[Depth];
+        bool Same = N.Enabled.size() == Runnable.size();
+        for (size_t I = 0; Same && I < Runnable.size(); ++I)
+          Same = N.Enabled[I] == Runnable[I];
+        if (!Same)
+          return fail("mc: nondeterministic restore — the enabled set "
+                      "changed under an identical choice prefix "
+                      "(machine bug)");
+        Chosen = N.Chosen;
+      } else {
+        ChoiceNode N;
+        N.Enabled.reserve(Runnable.size());
+        for (size_t R : Runnable)
+          N.Enabled.push_back(static_cast<uint32_t>(R));
+        N.Branching = N.Enabled.size() >= 2;
+        N.Sleep = CurSleep;
+        N.PreemptsBefore = Preempts;
+        std::vector<uint32_t> Cands;
+        for (uint32_t T : N.Enabled)
+          if (!Opts.UseDpor || !ScheduleTree::isSleeping(N, T))
+            Cands.push_back(T);
+        bool BoundClipped = false;
+        if (Opts.PreemptionBound >= 0 &&
+            Preempts >= Opts.PreemptionBound && Prev != UINT32_MAX &&
+            ScheduleTree::isEnabled(N, Prev)) {
+          // Budget spent: only the non-preemptive continuation may go
+          // on. If it is asleep, the remaining continuations all need a
+          // preemption — outside the bounded space.
+          if (std::find(Cands.begin(), Cands.end(), Prev) != Cands.end())
+            Cands.assign(1, Prev);
+          else {
+            Cands.clear();
+            BoundClipped = true;
           }
+        }
+        if (Cands.empty()) {
+          EndKind = End::Redundant;
+          CountPrune = !BoundClipped;
           break;
         }
-        if (Frontier) {
-          Node.Record = *R;
-          if (Opts.UseDpor && interacting(*R))
-            raceDetect(Tree, Interacting, Depth, *R);
+        Chosen = std::find(Cands.begin(), Cands.end(), Prev) != Cands.end()
+                     ? Prev
+                     : Cands[0];
+        N.Chosen = Chosen;
+        if (Opts.UseDpor)
+          N.Backtrack.push_back(Chosen);
+        else
+          N.Backtrack = N.Enabled; // naive DFS: explore everything
+        if (N.Branching) {
+          if (Checkpoints.size() <= Depth)
+            Checkpoints.resize(Depth + 1);
+          M->saveCheckpoint(Checkpoints[Depth]);
         }
-        if (interacting(Node.Record))
-          Interacting.push_back(Depth);
-
-        // Entry sleep set for the next turn: survivors are entries of
-        // other threads whose (deterministic) next step commutes with
-        // what just ran. Naive mode carries no sleep sets — that is the
-        // whole difference the bench measures.
-        if (Opts.UseDpor) {
-          std::vector<McStepRecord> NextSleep;
-          for (const McStepRecord &Sl : Node.Sleep)
-            if (Sl.Thread != Chosen && !dependent(Sl, Node.Record))
-              NextSleep.push_back(Sl);
-          for (const McStepRecord &Sl : Node.DoneRecords)
-            if (Sl.Thread != Chosen && !dependent(Sl, Node.Record))
-              NextSleep.push_back(Sl);
-          CurSleep = std::move(NextSleep);
-        }
-
-        Prev = Chosen;
-        ++Depth;
-        Rep.MaxDepthSeen = std::max<uint64_t>(Rep.MaxDepthSeen, Depth);
+        Tree.Nodes.push_back(std::move(N));
       }
+
+      ChoiceNode &Node = Tree.Nodes[Depth];
+      if (Prev != UINT32_MAX && Chosen != Prev &&
+          ScheduleTree::isEnabled(Node, Prev))
+        ++Preempts;
+
+      Expected<McStepRecord> R = M->stepChosen(Chosen);
+      ++Rep.StepsExecuted;
+      if (!R) {
+        if (InjectedFault()) {
+          // The fault ends the execution; for backtracking purposes the
+          // step still happened. Its effects are the fault counters
+          // themselves, so a conservative all-points mask keeps the
+          // dependence sound.
+          if (Frontier) {
+            Node.Record.Thread = Chosen;
+            Node.Record.StepKind = McStepRecord::Kind::Local;
+            Node.Record.FaultPointsTouched = ~0u;
+            if (Opts.UseDpor)
+              raceDetect(Tree, Interacting, Depth, Node.Record);
+          }
+          EndKind = End::FaultEnded;
+        } else {
+          Violation = McCounterexample{Tree.prefixSchedule(Depth + 1),
+                                       R.error().Message,
+                                       M->blockedStateDump()};
+        }
+        break;
+      }
+      // Only frontier steps are recorded. A restored node's alternative
+      // keeps the empty record advance() left, which is what it later
+      // contributes to DoneRecords; the explored/pruned counts pinned
+      // in tests/mc_test.cpp depend on it.
+      if (Frontier) {
+        Node.Record = *R;
+        if (Opts.UseDpor && interacting(*R))
+          raceDetect(Tree, Interacting, Depth, *R);
+      }
+      if (interacting(Node.Record))
+        Interacting.push_back(Depth);
+
+      // Entry sleep set for the next turn: survivors are entries of
+      // other threads whose (deterministic) next step commutes with what
+      // just ran. Naive mode carries no sleep sets — that is the whole
+      // difference the bench measures.
+      if (Opts.UseDpor) {
+        NextSleep.clear();
+        for (const McStepRecord &Sl : Node.Sleep)
+          if (Sl.Thread != Chosen && !dependent(Sl, Node.Record))
+            NextSleep.push_back(Sl);
+        for (const McStepRecord &Sl : Node.DoneRecords)
+          if (Sl.Thread != Chosen && !dependent(Sl, Node.Record))
+            NextSleep.push_back(Sl);
+        std::swap(CurSleep, NextSleep);
+      }
+
+      Prev = Chosen;
+      ++Depth;
+      Rep.MaxDepthSeen = std::max<uint64_t>(Rep.MaxDepthSeen, Depth);
     }
 
     if (Violation) {
@@ -271,8 +283,7 @@ Expected<McReport> mc::explore(const MachineFactory &Factory,
           Rep.Counterexample = McCounterexample{
               Tree.prefixSchedule(Tree.Nodes.size()),
               "schedule-dependent result: canonical result fingerprint " +
-                  hex(Fp) +
-                  " differs from the first explored schedule's " +
+                  hex(Fp) + " differs from the first explored schedule's " +
                   hex(*BaselineFp) + " (confluence violation)",
               ""};
           return Rep;
@@ -314,7 +325,18 @@ Expected<McReport> mc::explore(const MachineFactory &Factory,
       }
       break;
     }
-    More = Tree.advance(Rep.SchedulesPruned);
+    if (!Tree.advance(Rep.SchedulesPruned))
+      break;
+
+    // Backtrack: the deepest node now names its next alternative.
+    // Resume from its checkpoint with the path state it saw.
+    Depth = Tree.Nodes.size() - 1;
+    assert(Tree.Nodes[Depth].Branching && "a lone choice has no sibling");
+    M->restoreCheckpoint(Checkpoints[Depth]);
+    Prev = Depth ? Tree.Nodes[Depth - 1].Chosen : UINT32_MAX;
+    Preempts = Tree.Nodes[Depth].PreemptsBefore;
+    while (!Interacting.empty() && Interacting.back() >= Depth)
+      Interacting.pop_back();
   }
   return Rep;
 }

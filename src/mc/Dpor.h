@@ -5,14 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The stateless model checker: a DFS over the machine's schedule space
-/// by re-execution — each iteration builds a fresh machine, replays the
-/// forced prefix from the schedule tree, extends it at the frontier, and
-/// backtracks — pruned by persistent-set DPOR (race detection over
-/// mc/DependencyRelation.h adds backtrack points at the latest dependent
-/// turn) plus sleep sets (explored first-actions shadow redundant
-/// siblings), optionally bounded by preemption count (iterative context
-/// bounding), depth, and schedule budget.
+/// The stateless model checker (no visited-state table): a DFS over the
+/// machine's schedule space by checkpointed backtracking. One machine
+/// serves the whole exploration. Before a branching turn first steps,
+/// the machine saves a checkpoint (Machine::Checkpoint); backtracking to
+/// that turn restores it and steps the next alternative, so every edge
+/// of the schedule tree executes once. Memory: one checkpoint per
+/// branching node on the current DFS path, in per-depth slots that keep
+/// their buffers. The search is pruned by persistent-set DPOR (race
+/// detection over mc/DependencyRelation.h adds backtrack points at the
+/// latest dependent turn) plus sleep sets (explored first-actions shadow
+/// redundant siblings), optionally bounded by preemption count
+/// (iterative context bounding), depth, and schedule budget.
 ///
 /// Properties checked over the entire explored space: no deadlock, no
 /// stuck thread (reservation violations surface here), no step-validator
@@ -76,6 +80,8 @@ struct McReport {
   uint64_t SchedulesPruned = 0;
   /// Completed schedules whose end state was fingerprinted.
   uint64_t StatesFingerprinted = 0;
+  /// Steps executed: each schedule-tree edge once, since a restore
+  /// re-runs nothing.
   uint64_t StepsExecuted = 0;
   uint64_t MaxDepthSeen = 0;
   /// False when a depth/schedule budget clipped the space; Clipped says
@@ -86,15 +92,16 @@ struct McReport {
   std::optional<McCounterexample> Counterexample;
 };
 
-/// Builds a fresh machine per execution. Must arm a *fresh*
-/// FaultInjector each call when faults are in play — the injector's
-/// occurrence counters are run-local state.
+/// Builds the machine an exploration runs on; explore() calls it once.
+/// Must arm a *fresh* FaultInjector when faults are in play: the
+/// injector's occurrence counters are run-local state, which the
+/// machine's checkpoints save and restore along with the heap.
 using MachineFactory = std::function<std::unique_ptr<Machine>()>;
 
 /// Explores the bounded schedule space of the machines \p Factory
 /// builds. Returns the coverage report; a counterexample lives inside
 /// it, not in the error channel (errors are infrastructure failures
-/// such as a null factory or nondeterministic replay).
+/// such as a null factory or a restore that changed the enabled set).
 Expected<McReport> explore(const MachineFactory &Factory,
                            const McOptions &Opts);
 

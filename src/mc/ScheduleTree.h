@@ -9,8 +9,10 @@
 /// of the current execution, carrying the enabled set, the DPOR
 /// backtrack set, the already-explored alternatives (with their first
 /// actions, which become sleep-set entries for later siblings), and the
-/// entry sleep set. Stateless model checking re-executes from the root
-/// on every backtrack, replaying Nodes[0..k].Chosen as a forced prefix.
+/// entry sleep set. Backtracking to node k restores the machine
+/// checkpoint saved before node k first stepped (mc/Dpor.cpp keeps one
+/// per branching node on the path) and steps Nodes[k].Chosen, so the
+/// prefix Nodes[0..k) never runs again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +47,9 @@ struct ChoiceNode {
   McStepRecord Record;
   /// Enabled.size() >= 2: this turn consumes a schedule-file choice.
   bool Branching = false;
+  /// Preemptions on the path before this turn; restored with the node's
+  /// checkpoint so a resumed branch keeps its preemption budget.
+  int64_t PreemptsBefore = 0;
 };
 
 /// The DFS stack plus the bookkeeping the explorer shares with reports.

@@ -8,6 +8,8 @@
 
 #include "runtime/RuntimeFault.h"
 
+#include <new>
+
 using namespace fearless;
 
 void Heap::heapFault(Loc L) const {
@@ -26,10 +28,29 @@ void Heap::fieldFault(Loc L, uint32_t FieldIndex) const {
 }
 
 Heap::Heap(const StructTable &Structs, size_t MaxObjects)
-    : Structs(Structs) {
-  size_t NumBlocks = (MaxObjects + BlockSize - 1) / BlockSize;
-  BlockStorage.resize(NumBlocks);
-  Blocks = BlockStorage.data();
+    : Structs(Structs),
+      MaxBlocks(static_cast<uint32_t>((MaxObjects + BlockSize - 1) /
+                                      BlockSize)),
+      // new T[n] without () default-initializes: the directory stays
+      // untouched until allocation reaches each block.
+      Blocks(new Object *[MaxBlocks]) {}
+
+Heap::~Heap() {
+  uint32_t N = Count.load(std::memory_order_acquire);
+  for (uint32_t Index = 0; Index < N; ++Index)
+    Blocks[Index >> BlockShift][Index & (BlockSize - 1)].~Object();
+  std::allocator<Object> Alloc;
+  for (uint32_t B = 0; B < NumBlocks; ++B)
+    Alloc.deallocate(Blocks[B], BlockSize);
+}
+
+Object &Heap::construct(uint32_t Index) {
+  uint32_t Block = Index >> BlockShift;
+  if (Block == NumBlocks) {
+    Blocks[Block] = std::allocator<Object>().allocate(BlockSize);
+    ++NumBlocks;
+  }
+  return *new (&Blocks[Block][Index & (BlockSize - 1)]) Object();
 }
 
 Loc Heap::allocate(Symbol StructName) {
@@ -41,16 +62,12 @@ Loc Heap::allocate(Symbol StructName) {
   {
     std::lock_guard<std::mutex> Lock(AllocMutex);
     Index = Count.load(std::memory_order_relaxed);
-    uint32_t Block = Index >> BlockShift;
-    if (Block >= BlockStorage.size())
+    if ((Index >> BlockShift) >= MaxBlocks)
       return Loc::invalid(); // heap exhausted: a real, checkable outcome
-    if (!BlockStorage[Block])
-      BlockStorage[Block] = std::make_unique<Object[]>(BlockSize);
 
-    Object &O = BlockStorage[Block][Index & (BlockSize - 1)];
+    Object &O = construct(Index);
     O.Struct = Info;
     O.Fields.assign(Info->Fields.size(), Value());
-    O.StoredRefCount = 0;
     Loc Self{Index};
     for (const FieldInfo &F : Info->Fields) {
       Value &Slot = O.Fields[F.Index];
@@ -75,6 +92,39 @@ Loc Heap::allocate(Symbol StructName) {
     Count.store(Index + 1, std::memory_order_release);
   }
   return Loc{Index};
+}
+
+void Heap::save(Snapshot &Out) const {
+  uint32_t N = Count.load(std::memory_order_acquire);
+  Out.Structs.resize(N);
+  Out.RefCounts.resize(N);
+  Out.Fields.clear();
+  for (uint32_t Index = 0; Index < N; ++Index) {
+    const Object &O = Blocks[Index >> BlockShift][Index & (BlockSize - 1)];
+    Out.Structs[Index] = O.Struct;
+    Out.RefCounts[Index] = O.StoredRefCount;
+    Out.Fields.insert(Out.Fields.end(), O.Fields.begin(), O.Fields.end());
+  }
+}
+
+void Heap::restore(const Snapshot &In) {
+  std::lock_guard<std::mutex> Lock(AllocMutex);
+  uint32_t Old = Count.load(std::memory_order_relaxed);
+  uint32_t N = static_cast<uint32_t>(In.Structs.size());
+  for (uint32_t Index = N; Index < Old; ++Index)
+    Blocks[Index >> BlockShift][Index & (BlockSize - 1)].~Object();
+  const Value *Next = In.Fields.data();
+  for (uint32_t Index = 0; Index < N; ++Index) {
+    Object &O = Index < Old
+                    ? Blocks[Index >> BlockShift][Index & (BlockSize - 1)]
+                    : construct(Index);
+    O.Struct = In.Structs[Index];
+    O.StoredRefCount = In.RefCounts[Index];
+    size_t NumFields = O.Struct->Fields.size();
+    O.Fields.assign(Next, Next + NumFields);
+    Next += NumFields;
+  }
+  Count.store(N, std::memory_order_release);
 }
 
 void Heap::setField(Loc L, uint32_t FieldIndex, const Value &V) {

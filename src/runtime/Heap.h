@@ -14,11 +14,14 @@
 /// traversal count to decide disconnection without exploring the larger
 /// side.
 ///
-/// Storage is chunked with a pre-reserved block directory so object
+/// Storage is chunked with a fixed-size block directory so object
 /// references stay stable under concurrent allocation: the parallel
 /// executor lets threads touch disjoint reservations without locks
 /// (that is the point of fearless concurrency); only allocation takes a
-/// mutex.
+/// mutex. A heap costs only what it holds: the directory is left
+/// uninitialized (allocation is sequential, so entry b is written when
+/// object b·BlockSize is allocated), blocks are raw storage, each Object
+/// is constructed by allocate(), and teardown destroys only [0, size()).
 ///
 /// Regions do not exist at run time: a runtime "region" is a connected
 /// component of the non-iso reference relation.
@@ -52,8 +55,15 @@ struct Object {
 /// The shared store.
 class Heap {
 public:
+  /// Objects per storage block (the directory granularity).
+  static constexpr uint32_t BlockShift = 12;
+  static constexpr uint32_t BlockSize = 1u << BlockShift;
+
   explicit Heap(const StructTable &Structs,
                 size_t MaxObjects = size_t(1) << 26);
+  ~Heap();
+  Heap(const Heap &) = delete;
+  Heap &operator=(const Heap &) = delete;
 
   /// Allocates an instance of \p StructName with default field values:
   /// maybe fields none, primitives zero/false/unit, and non-maybe non-iso
@@ -95,7 +105,7 @@ public:
 
   size_t size() const { return Count.load(std::memory_order_acquire); }
   /// Maximum number of objects this heap can ever hold.
-  size_t capacity() const { return BlockStorage.size() * BlockSize; }
+  size_t capacity() const { return size_t(MaxBlocks) * BlockSize; }
   const StructTable &structs() const { return Structs; }
 
   /// Collects every location reachable from \p Root following *all*
@@ -112,6 +122,21 @@ public:
   /// used by the invariant validators.
   std::vector<uint32_t> recomputeRefCounts() const;
 
+  /// A copy of objects [0, size()) in flat arrays (the Fields of object
+  /// i are the next Structs[i]->Fields.size() entries of Fields), so a
+  /// reused snapshot is refilled without allocating.
+  struct Snapshot {
+    std::vector<const StructInfo *> Structs;
+    std::vector<uint32_t> RefCounts;
+    std::vector<Value> Fields;
+  };
+  /// Fills \p Out with the current objects (capacity reused).
+  void save(Snapshot &Out) const;
+  /// Makes the heap hold exactly the objects of \p In: objects past its
+  /// size are destroyed, missing ones constructed, the rest overwritten.
+  /// Not thread-safe: the owner must be the only one touching the heap.
+  void restore(const Snapshot &In);
+
 private:
   /// Raises an invalid-heap-access RuntimeFault; never returns (throws
   /// in release builds, aborts in debug). Kept out of line so the
@@ -120,13 +145,21 @@ private:
   /// Raises an out-of-range field-index RuntimeFault on \p L.
   [[noreturn]] void fieldFault(Loc L, uint32_t FieldIndex) const;
 
-  static constexpr uint32_t BlockShift = 12;
-  static constexpr uint32_t BlockSize = 1u << BlockShift;
+  /// Constructs a default Object at \p Index == size(), allocating its
+  /// block first when \p Index starts one. Caller holds AllocMutex (or
+  /// owns the heap exclusively) and publishes Count afterwards.
+  Object &construct(uint32_t Index);
 
   const StructTable &Structs;
-  /// Block directory; sized up-front so the pointer array never moves.
-  std::vector<std::unique_ptr<Object[]>> BlockStorage;
-  std::unique_ptr<Object[]> *Blocks = nullptr;
+  uint32_t MaxBlocks = 0;
+  /// Block directory, sized up-front so the pointer array never moves,
+  /// and left uninitialized: entry b is valid iff b < NumBlocks.
+  std::unique_ptr<Object *[]> Blocks;
+  /// Blocks allocated so far (guarded by AllocMutex). Blocks outlive a
+  /// restore() that shrinks below them, so construct() reuses them.
+  uint32_t NumBlocks = 0;
+  /// Published with release after the object (and its directory entry)
+  /// is written, so get() reads both lock-free under acquire.
   std::atomic<uint32_t> Count{0};
   std::mutex AllocMutex;
 };

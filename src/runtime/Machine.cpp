@@ -7,8 +7,10 @@
 #include "runtime/Machine.h"
 
 #include "vm/Bytecode.h"
+#include "vm/Vm.h"
 
 #include <cassert>
+#include <chrono>
 #include <functional>
 #include <unordered_map>
 
@@ -175,6 +177,7 @@ RuntimeMetrics Machine::metrics() const {
   M.HeapObjects = TheHeap.size();
   if (Opts.VmCode)
     M.ChecksErased = Opts.VmCode->ChecksErased;
+  M.WallMicros = WallMicros;
   return M;
 }
 
@@ -374,6 +377,50 @@ Expected<MachineSummary> Machine::finishStepping() {
   return Summary;
 }
 
+namespace {
+
+/// Deep-copies \p Src into \p Dst: the VM state is cloned, not shared,
+/// and Dst's buffers are refilled in place.
+void copyThread(ThreadState &Dst, const ThreadState &Src) {
+  std::shared_ptr<vm::VmState> Vm = std::move(Dst.Vm);
+  Dst = Src; // shares Src.Vm until the clone below replaces it
+  if (!Src.Vm)
+    Vm.reset();
+  else if (Vm)
+    *Vm = *Src.Vm;
+  else
+    Vm = std::make_shared<vm::VmState>(*Src.Vm);
+  Dst.Vm = std::move(Vm);
+}
+
+} // namespace
+
+void Machine::saveCheckpoint(Checkpoint &Out) const {
+  assert(Stepping && "saveCheckpoint outside a stepping session");
+  TheHeap.save(Out.Objects);
+  Out.Threads.resize(Threads.size());
+  for (size_t I = 0; I < Threads.size(); ++I)
+    copyThread(Out.Threads[I], Threads[I]);
+  Out.Stats = Stats;
+  Out.LastFault = LastFault;
+  Out.Steps = Stepping->Steps;
+  if (Opts.Faults)
+    Opts.Faults->saveCounters(Out.Faults);
+}
+
+void Machine::restoreCheckpoint(const Checkpoint &In) {
+  assert(Stepping && "restoreCheckpoint outside a stepping session");
+  TheHeap.restore(In.Objects);
+  Threads.resize(In.Threads.size());
+  for (size_t I = 0; I < Threads.size(); ++I)
+    copyThread(Threads[I], In.Threads[I]);
+  Stats = In.Stats;
+  LastFault = In.LastFault;
+  Stepping->Steps = In.Steps;
+  if (Opts.Faults)
+    Opts.Faults->restoreCounters(In.Faults);
+}
+
 std::string Machine::deadlockMessage() const {
   return "deadlock: all unfinished threads are blocked on send/recv "
          "with no matching partner\n" +
@@ -469,6 +516,16 @@ uint64_t Machine::resultFingerprint() const {
 }
 
 Expected<MachineSummary> Machine::run(uint64_t Seed) {
+  auto Started = std::chrono::steady_clock::now();
+  Expected<MachineSummary> Summary = runTurns(Seed);
+  WallMicros = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - Started)
+          .count());
+  return Summary;
+}
+
+Expected<MachineSummary> Machine::runTurns(uint64_t Seed) {
   if (ExpectedVoid B = beginStepping(); !B)
     return B.takeFailure();
 

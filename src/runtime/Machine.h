@@ -186,6 +186,25 @@ public:
   /// machine.run trace span, aggregated step count.
   Expected<MachineSummary> finishStepping();
 
+  /// Everything a stepping session mutates, for checkpointed
+  /// backtracking (mc/Dpor.h): heap objects [0, size), deep copies of
+  /// the threads (VmState included), MachineStats, the last fault, the
+  /// step counter, and the armed FaultInjector's counters. Saving into
+  /// a used checkpoint refills its buffers in place.
+  struct Checkpoint {
+    Heap::Snapshot Objects;
+    std::vector<ThreadState> Threads;
+    MachineStats Stats;
+    std::optional<RuntimeFault> LastFault;
+    uint64_t Steps = 0;
+    FaultInjector::Counters Faults;
+  };
+  /// Captures the state between two turns of a stepping session.
+  void saveCheckpoint(Checkpoint &Out) const;
+  /// Returns the session to \p In's state, as if the turns since it was
+  /// saved never ran; call checkProgress() before the next step.
+  void restoreCheckpoint(const Checkpoint &In);
+
   /// The deadlock diagnostic run() and the model checker report: the
   /// headline plus a per-thread blocked-state dump.
   std::string deadlockMessage() const;
@@ -229,6 +248,9 @@ private:
 
   bool valueMatchesType(const Value &V, const Type &Ty) const;
 
+  /// The body of run(), which times it.
+  Expected<MachineSummary> runTurns(uint64_t Seed);
+
   /// Per-session state of the incremental stepping API.
   struct SteppingState {
     InterpServices Services;
@@ -246,6 +268,8 @@ private:
   MachineStats Stats;
   std::vector<ThreadState> Threads;
   std::optional<RuntimeFault> LastFault;
+  /// Wall-clock duration of the last run(), reported by metrics().
+  uint64_t WallMicros = 0;
   /// Reusable send-path buffers (EC3 live-set transfer): liveSetInto
   /// clears and refills them, so steady-state sends allocate nothing.
   std::vector<Loc> LiveBuf;

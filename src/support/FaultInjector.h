@@ -165,6 +165,31 @@ public:
 
   const FaultPlan &plan() const { return Plan; }
 
+  /// The per-point occurrence and fired counters: everything a run
+  /// mutates (the plan is immutable). The model checker saves them with
+  /// each machine checkpoint, so a restored run consults the same
+  /// occurrence indices a fresh injector replaying the prefix would.
+  struct Counters {
+    std::array<uint64_t, NumFaultPoints> Occurrences{};
+    std::array<uint64_t, NumFaultPoints> Fired{};
+  };
+  void saveCounters(Counters &Out) const {
+    for (size_t I = 0; I < NumFaultPoints; ++I) {
+      Out.Occurrences[I] =
+          Points[I].Occurrences.load(std::memory_order_relaxed);
+      Out.Fired[I] = Points[I].Fired.load(std::memory_order_relaxed);
+    }
+  }
+  /// Not synchronized with concurrent shouldFire() calls: restore only
+  /// while no thread of the run is stepping.
+  void restoreCounters(const Counters &In) {
+    for (size_t I = 0; I < NumFaultPoints; ++I) {
+      Points[I].Occurrences.store(In.Occurrences[I],
+                                  std::memory_order_relaxed);
+      Points[I].Fired.store(In.Fired[I], std::memory_order_relaxed);
+    }
+  }
+
   /// Builds an injector from the FEARLESS_FAULTS environment variable.
   /// Returns null when the variable is unset or empty; on a malformed
   /// spec returns null and fills \p ErrorOut (when given) so callers can

@@ -192,6 +192,39 @@ TEST(FaultInjectorTest, ProbabilityIsSeededAndDeterministic) {
   EXPECT_LT(Fired, 192u);
 }
 
+TEST(FaultInjectorTest, RestoredCountersRepeatTheDecisions) {
+  // Restoring saved counters rewinds the occurrence index, so the
+  // decisions after the save point come out again, fired totals
+  // included.
+  FaultPlan Plan;
+  Plan.Triggers[static_cast<size_t>(FaultPoint::ChanSend)] =
+      FaultTrigger{FaultTrigger::Kind::Nth, 5, 0};
+  Plan.Triggers[static_cast<size_t>(FaultPoint::SchedStep)] =
+      FaultTrigger{FaultTrigger::Kind::EveryK, 2, 0};
+  FaultInjector FI(Plan);
+  for (int I = 0; I < 3; ++I) {
+    (void)FI.shouldFire(FaultPoint::ChanSend);
+    (void)FI.shouldFire(FaultPoint::SchedStep);
+  }
+  FaultInjector::Counters Saved;
+  FI.saveCounters(Saved);
+  auto Decisions = [&FI] {
+    std::vector<bool> Out;
+    for (int I = 0; I < 4; ++I) {
+      Out.push_back(FI.shouldFire(FaultPoint::ChanSend));
+      Out.push_back(FI.shouldFire(FaultPoint::SchedStep));
+    }
+    return Out;
+  };
+  std::vector<bool> First = Decisions();
+  uint64_t FiredAfter = FI.totalFired();
+  FI.restoreCounters(Saved);
+  EXPECT_EQ(FI.occurrences(FaultPoint::ChanSend), 3u);
+  EXPECT_EQ(FI.fired(FaultPoint::SchedStep), 1u);
+  EXPECT_EQ(Decisions(), First);
+  EXPECT_EQ(FI.totalFired(), FiredAfter);
+}
+
 TEST(FaultInjectorTest, QueryPathIsAllocationFree) {
   FaultPlan Plan;
   Plan.Seed = 7;
@@ -458,6 +491,11 @@ TEST(Supervision, RestartEmitsTraceInstantsAndBackoffIsDeterministic) {
     O.RestartBackoffMillis = 1;
     O.RestartBackoffCapMillis = 4;
     O.RestartSeed = 77;
+    // One worker starts the threads in spawn order, so thread.start's
+    // first occurrence — and with it the restarted thread whose index
+    // seeds the jitter — is the same in both runs. With more workers
+    // the OS picks which start comes first (FaultInjector.h).
+    O.NumWorkers = 1;
     O.Trace = &Trace;
     O.WatchdogMillis = 10'000;
     ParallelExec Exec(P.Checked, O);

@@ -263,6 +263,95 @@ def drive(count : int) : bool {
   EXPECT_EQ(checkStoredRefCounts(M.heap()), std::nullopt);
 }
 
+TEST(Machine, CheckpointRestoreRewindsTheWholeSession) {
+  // Save mid-run, finish, restore, finish again: the second finish is
+  // indistinguishable from the first — results, stats, heap, steps.
+  Pipeline P = mustCompile(programs::MessagePassing);
+  Machine M(P.Checked);
+  M.spawn(sym(P, "producer"), {Value::intVal(3)});
+  M.spawn(sym(P, "consumer"), {Value::intVal(3)});
+  ASSERT_TRUE(M.beginStepping().hasValue());
+  auto Finish = [&M]() -> std::string {
+    while (true) {
+      Expected<MachineProgress> Prog = M.checkProgress();
+      if (!Prog || *Prog != MachineProgress::Running)
+        break;
+      if (!M.stepChosen(M.runnableThreads().back()))
+        return "step failed";
+    }
+    return M.metrics().toJson() + " " +
+           std::to_string(M.resultFingerprint()) + " " +
+           std::to_string(M.heap().size());
+  };
+  for (int I = 0; I < 5; ++I) {
+    ASSERT_TRUE(M.checkProgress().hasValue());
+    ASSERT_TRUE(M.stepChosen(M.runnableThreads().front()).hasValue());
+  }
+  Machine::Checkpoint C;
+  M.saveCheckpoint(C);
+  size_t ObjectsAtSave = M.heap().size();
+  std::string First = Finish();
+  EXPECT_GT(M.heap().size(), ObjectsAtSave);
+  M.restoreCheckpoint(C);
+  EXPECT_EQ(M.heap().size(), ObjectsAtSave);
+  EXPECT_EQ(checkReservationsDisjoint(M), std::nullopt);
+  EXPECT_EQ(checkStoredRefCounts(M.heap()), std::nullopt);
+  EXPECT_EQ(Finish(), First);
+  Expected<MachineSummary> S = M.finishStepping();
+  ASSERT_TRUE(S.hasValue());
+  EXPECT_EQ(S->ThreadResults[1], Value::intVal(3));
+}
+
+TEST(Machine, CheckpointRestoreRewindsTheFaultInjector) {
+  // The injector's occurrence counters and the last fault are session
+  // state too: after a restore, the fault that ended the run fires again
+  // at the same step, and before it fires no fault is on record.
+  Pipeline P = mustCompile(programs::MessagePassing);
+  FaultInjector FI(*parseFaultSpec("sched.step=nth:8"));
+  MachineOptions MO;
+  MO.Faults = &FI;
+  Machine M(P.Checked, MO);
+  M.spawn(sym(P, "producer"), {Value::intVal(3)});
+  M.spawn(sym(P, "consumer"), {Value::intVal(3)});
+  ASSERT_TRUE(M.beginStepping().hasValue());
+  auto Finish = [&M]() -> std::string {
+    while (true) {
+      Expected<MachineProgress> Prog = M.checkProgress();
+      if (!Prog)
+        return Prog.error().Message;
+      if (*Prog != MachineProgress::Running)
+        return "finished";
+      if (Expected<McStepRecord> R = M.stepChosen(M.runnableThreads()[0]);
+          !R)
+        return R.error().Message;
+    }
+  };
+  for (int I = 0; I < 5; ++I) {
+    ASSERT_TRUE(M.checkProgress().hasValue());
+    ASSERT_TRUE(M.stepChosen(M.runnableThreads()[0]).hasValue());
+  }
+  Machine::Checkpoint C;
+  M.saveCheckpoint(C);
+  std::string First = Finish();
+  EXPECT_NE(First.find("sched.step"), std::string::npos) << First;
+  ASSERT_TRUE(M.lastFault().has_value());
+  M.restoreCheckpoint(C);
+  EXPECT_FALSE(M.lastFault().has_value());
+  EXPECT_EQ(FI.occurrences(FaultPoint::SchedStep), 5u);
+  EXPECT_EQ(Finish(), First);
+  EXPECT_EQ(M.metrics().FaultsInjected, 1u);
+}
+
+TEST(Machine, RunReportsWallMicros) {
+  // A run long enough to take at least a microsecond on any machine.
+  Pipeline P = mustCompile(programs::SllSuite);
+  Machine M(P.Checked);
+  std::vector<int64_t> Values(2000, 1);
+  ASSERT_TRUE(runOnSll(P, M, "sum", Values, {}).hasValue());
+  EXPECT_GT(M.metrics().WallMicros, 0u);
+  EXPECT_LT(M.metrics().WallMicros, 60'000'000u);
+}
+
 TEST(Machine, ReservationChecksRunButNeverFire) {
   Pipeline P = mustCompile(programs::SllSuite);
   Machine M(P.Checked);

@@ -6,19 +6,24 @@
 //
 // The stateless model checker (src/mc/): exhaustive exploration of small
 // schedule spaces, DPOR-vs-naive agreement, counterexample schedules
-// that replay deterministically (including under fault injection), and
-// the schedule file format's corruption diagnostics.
+// that replay deterministically (including under fault injection),
+// checkpointed backtracking that explores exactly what replaying each
+// prefix did, and the schedule file format's corruption diagnostics.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
 #include "concurrency/Scheduler.h"
+#include "driver/CompilePipeline.h"
 #include "mc/Dpor.h"
 #include "mc/Replay.h"
 #include "runtime/Invariants.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace fearless;
 using namespace fearless::testutil;
@@ -305,6 +310,200 @@ TEST(Mc, FaultOutcomesAreAllowedNotCounterexamples) {
   EXPECT_FALSE(Rep->Counterexample.has_value())
       << Rep->Counterexample->Reason;
   EXPECT_GE(Rep->SchedulesExplored, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Checkpointed backtracking
+//===----------------------------------------------------------------------===//
+
+/// examples/msg_pipeline.fls built the way `fearlessc mc --mc-checks=X`
+/// builds it: VM engine, checks emitted iff on.
+std::shared_ptr<const CompiledArtifact> msgPipeline(bool Checks) {
+  std::ifstream In(FEARLESS_EXAMPLES_DIR "/msg_pipeline.fls");
+  std::stringstream Text;
+  Text << In.rdbuf();
+  PipelineOptions PO;
+  PO.Checks = Checks;
+  PO.EmitChecks = Checks;
+  Expected<std::shared_ptr<const CompiledArtifact>> A =
+      buildArtifact(Text.str(), PO);
+  EXPECT_TRUE(A.hasValue()) << (A ? "" : A.error().render());
+  return A ? *A : nullptr;
+}
+
+/// One consumer of \p Consume items plus one producer per entry of
+/// \p Producers, with the CLI's per-step §6 validators (plus \p Extra,
+/// when given).
+mc::MachineFactory
+splitFactory(const CompiledArtifact &Art, int64_t Consume,
+             std::vector<int64_t> Producers,
+             std::function<std::optional<std::string>(const Machine &)>
+                 Extra = nullptr) {
+  return [&Art, Consume, Producers, Extra]() {
+    MachineOptions MO;
+    MO.CheckReservations = Art.Options.Checks;
+    MO.StaticVerdicts = &Art.Verdicts;
+    MO.VmCode = &*Art.VmCode;
+    MO.StepValidator =
+        [Extra](const Machine &M) -> std::optional<std::string> {
+      if (auto E = checkReservationsDisjoint(M))
+        return E;
+      if (auto E = checkStoredRefCounts(M.heap()))
+        return E;
+      return Extra ? Extra(M) : std::nullopt;
+    };
+    Program &Prog = *Art.P.Prog;
+    auto M = std::make_unique<Machine>(Art.P.Checked, MO);
+    M->spawn(Prog.Names.intern("consumer"), {Value::intVal(Consume)});
+    for (int64_t K : Producers)
+      M->spawn(Prog.Names.intern("producer"), {Value::intVal(K)});
+    return M;
+  };
+}
+
+TEST(Mc, CheckpointedExplorationKeepsTheReplayCounts) {
+  // The explored/pruned counts of exploring by prefix replay, pinned:
+  // restoring a checkpoint must reach exactly the states replay did.
+  struct Split {
+    int64_t Consume;
+    std::vector<int64_t> Producers;
+    uint64_t Explored, Pruned;
+  };
+  const Split Splits[] = {{4, {2, 2}, 33, 13},
+                          {6, {3, 3}, 227, 96},
+                          {6, {2, 2, 2}, 1052, 428}};
+  for (bool Checks : {true, false}) {
+    std::shared_ptr<const CompiledArtifact> Art = msgPipeline(Checks);
+    ASSERT_TRUE(Art);
+    for (const Split &S : Splits) {
+      mc::McOptions Opts;
+      size_t Calls = 0;
+      mc::MachineFactory Inner =
+          splitFactory(*Art, S.Consume, S.Producers);
+      Expected<mc::McReport> Rep = mc::explore(
+          [&] {
+            ++Calls;
+            return Inner();
+          },
+          Opts);
+      std::string Label = "c" + std::to_string(S.Consume) + " x" +
+                          std::to_string(S.Producers.size()) +
+                          (Checks ? " on" : " off");
+      ASSERT_TRUE(Rep.hasValue()) << Label << ": " << Rep.error().render();
+      EXPECT_FALSE(Rep->Counterexample.has_value()) << Label;
+      EXPECT_TRUE(Rep->Complete) << Label;
+      EXPECT_EQ(Rep->SchedulesExplored, S.Explored) << Label;
+      EXPECT_EQ(Rep->SchedulesPruned, S.Pruned) << Label;
+      EXPECT_EQ(Calls, 1u) << Label << ": one machine per exploration";
+    }
+  }
+}
+
+TEST(Mc, ViolationReachedOnlyAfterARestoreReplaysBitIdentically) {
+  // A step validator that trips only once the second producer finished
+  // while the first has not. The first execution never backtracks and
+  // never gets there, so the failing state is reached from a restored
+  // checkpoint; the counterexample must still replay on a fresh machine
+  // to the same message, metrics, and blocked-state dump.
+  std::shared_ptr<const CompiledArtifact> Art = msgPipeline(true);
+  ASSERT_TRUE(Art);
+  std::string TripMetrics;
+  auto Trip = [&TripMetrics](const Machine &M)
+      -> std::optional<std::string> {
+    const std::vector<ThreadState> &T = M.threads();
+    if (T[2].Status == ThreadStatus::Finished &&
+        T[1].Status != ThreadStatus::Finished) {
+      TripMetrics = M.metrics().toJson();
+      return std::string("second producer finished first");
+    }
+    return std::nullopt;
+  };
+  mc::MachineFactory Factory = splitFactory(*Art, 4, {2, 2}, Trip);
+  Expected<mc::McReport> Rep = mc::explore(Factory, mc::McOptions{});
+  ASSERT_TRUE(Rep.hasValue()) << Rep.error().render();
+  ASSERT_TRUE(Rep->Counterexample.has_value());
+  const mc::McCounterexample &CE = *Rep->Counterexample;
+  EXPECT_NE(CE.Reason.find("second producer finished first"),
+            std::string::npos)
+      << CE.Reason;
+  // At least one schedule completed first: the failing execution began
+  // with a restore, not from the root.
+  EXPECT_GE(Rep->SchedulesExplored, 1u);
+  std::string ExploredMetrics = TripMetrics;
+
+  std::unique_ptr<Machine> Fresh = Factory();
+  Expected<MachineSummary> R = mc::runSchedule(*Fresh, CE.Sched);
+  ASSERT_FALSE(R.hasValue());
+  EXPECT_EQ(R.error().Message, CE.Reason);
+  EXPECT_EQ(Fresh->blockedStateDump(), CE.BlockedDump);
+  EXPECT_EQ(TripMetrics, ExploredMetrics);
+}
+
+TEST(Mc, RestoredEndStatesMatchFreshRuns) {
+  // The N-th completed schedule's end state, reached through restores,
+  // equals a fresh machine replaying that schedule from the root. An
+  // end-state property that fails on the N-th call hands back the
+  // schedule.
+  std::shared_ptr<const CompiledArtifact> Art = msgPipeline(false);
+  ASSERT_TRUE(Art);
+  mc::MachineFactory Factory = splitFactory(*Art, 4, {2, 2});
+  auto EndState = [](const Machine &M) {
+    RuntimeMetrics Metrics = M.metrics();
+    Metrics.Steps = 0; // stamped by finishStepping, which mc never calls
+    return Metrics.toJson() + " fp " +
+           std::to_string(M.resultFingerprint()) + " objects " +
+           std::to_string(M.heap().size());
+  };
+  for (uint64_t N : {1u, 2u, 7u, 20u, 33u}) {
+    uint64_t Calls = 0;
+    std::string Explored;
+    mc::McOptions Opts;
+    Opts.Validate = [&](const Machine &M) -> std::optional<std::string> {
+      if (++Calls < N)
+        return std::nullopt;
+      Explored = EndState(M);
+      return std::string("stop");
+    };
+    Expected<mc::McReport> Rep = mc::explore(Factory, Opts);
+    ASSERT_TRUE(Rep.hasValue()) << Rep.error().render();
+    ASSERT_TRUE(Rep->Counterexample.has_value()) << N;
+    std::unique_ptr<Machine> Fresh = Factory();
+    Expected<MachineSummary> R =
+        mc::runSchedule(*Fresh, Rep->Counterexample->Sched);
+    ASSERT_TRUE(R.hasValue()) << R.error().Message;
+    EXPECT_EQ(EndState(*Fresh), Explored) << "schedule " << N;
+  }
+}
+
+TEST(Mc, EveryRestoredScheduleSeesTheInjectedFault) {
+  // chan.send=nth:2 kills every execution at its second send. A
+  // restore must rewind the injector's occurrence count with the heap,
+  // or the schedules after the first would run fault-free to
+  // completion.
+  Pipeline P = mustCompile(programs::MessagePassing);
+  FaultPlan Plan = *parseFaultSpec("chan.send=nth:2");
+  std::unique_ptr<FaultInjector> Slot;
+  mc::MachineFactory Factory = [&]() {
+    Slot = std::make_unique<FaultInjector>(Plan);
+    MachineOptions MO;
+    MO.Faults = Slot.get();
+    auto M = std::make_unique<Machine>(P.Checked, MO);
+    M->spawn(sym(P, "producer"), {Value::intVal(2)});
+    M->spawn(sym(P, "consumer"), {Value::intVal(2)});
+    return M;
+  };
+  uint64_t Completed = 0;
+  mc::McOptions Opts;
+  Opts.CheckDivergence = false;
+  Opts.Validate = [&Completed](const Machine &) {
+    ++Completed;
+    return std::optional<std::string>();
+  };
+  Expected<mc::McReport> Rep = mc::explore(Factory, Opts);
+  ASSERT_TRUE(Rep.hasValue()) << Rep.error().render();
+  EXPECT_FALSE(Rep->Counterexample.has_value());
+  EXPECT_GE(Rep->SchedulesExplored, 2u);
+  EXPECT_EQ(Completed, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "runtime/Invariants.h"
 
 #include <gtest/gtest.h>
 
@@ -146,6 +147,73 @@ TEST(Runtime, HeapExhaustionIsDiagnosedNotUndefined) {
     ASSERT_TRUE(Small.allocate(DataSym).isValid());
   EXPECT_FALSE(Small.allocate(DataSym).isValid());
   EXPECT_EQ(Small.size(), Capacity);
+}
+
+TEST(Runtime, HeapLifetimeAcrossBlockBoundaries) {
+  // Objects are constructed on allocation and destroyed at teardown only
+  // up to size(); block boundaries are where raw storage and directory
+  // entries appear. (The ASan pass of tools/ci.sh runs this too.)
+  Pipeline P = mustCompile("struct node { value : int; next : node; }\n"
+                           "def main() : unit { }");
+  Symbol NodeSym = sym(P, "node");
+  for (size_t N : {size_t(0), size_t(1), size_t(Heap::BlockSize),
+                   size_t(Heap::BlockSize) + 1}) {
+    Heap H(P.Checked.Structs);
+    for (size_t I = 0; I < N; ++I)
+      ASSERT_TRUE(H.allocate(NodeSym).isValid());
+    EXPECT_EQ(H.size(), N);
+    if (N == 0)
+      continue;
+    Loc Last{static_cast<uint32_t>(N - 1)};
+    // The self-referencing default (Fig. 3) on the newest object.
+    EXPECT_EQ(H.getField(Last, 1), Value::locVal(Last));
+    EXPECT_EQ(H.get(Last).StoredRefCount, 1u);
+  }
+}
+
+TEST(Runtime, HeapSnapshotRestoreShrinksAndRegrows) {
+  Pipeline P = mustCompile("struct node { value : int; next : node; }\n"
+                           "def main() : unit { }");
+  Symbol NodeSym = sym(P, "node");
+  Heap H(P.Checked.Structs);
+  for (uint32_t I = 0; I < 3; ++I)
+    H.allocate(NodeSym);
+  H.setField(Loc{0}, 0, Value::intVal(7));
+  H.setField(Loc{0}, 1, Value::locVal(Loc{2}));
+  Heap::Snapshot S;
+  H.save(S);
+  std::vector<uint32_t> Counts = H.recomputeRefCounts();
+
+  // Grow past a block boundary and scribble on the saved objects.
+  while (H.size() < Heap::BlockSize + 2)
+    H.allocate(NodeSym);
+  H.setField(Loc{0}, 0, Value::intVal(-1));
+  H.setField(Loc{0}, 1, Value::locVal(Loc{Heap::BlockSize + 1}));
+
+  H.restore(S);
+  EXPECT_EQ(H.size(), 3u);
+  EXPECT_EQ(H.getField(Loc{0}, 0), Value::intVal(7));
+  EXPECT_EQ(H.getField(Loc{0}, 1), Value::locVal(Loc{2}));
+  EXPECT_EQ(H.recomputeRefCounts(), Counts);
+  for (uint32_t I = 0; I < 3; ++I)
+    EXPECT_EQ(H.get(Loc{I}).StoredRefCount, Counts[I]);
+  // Objects past the snapshot are gone; allocation picks up at its size
+  // and reuses the already-allocated block.
+  EXPECT_EQ(H.allocate(NodeSym), Loc{3});
+  while (H.size() < Heap::BlockSize + 1)
+    H.allocate(NodeSym);
+  EXPECT_EQ(H.getField(Loc{Heap::BlockSize}, 1),
+            Value::locVal(Loc{Heap::BlockSize}));
+
+  // Restoring a larger snapshot constructs the missing objects again.
+  Heap::Snapshot Big;
+  H.save(Big);
+  H.restore(S);
+  H.restore(Big);
+  EXPECT_EQ(H.size(), Heap::BlockSize + 1);
+  EXPECT_EQ(H.getField(Loc{Heap::BlockSize}, 1),
+            Value::locVal(Loc{Heap::BlockSize}));
+  EXPECT_EQ(checkStoredRefCounts(H), std::nullopt);
 }
 
 TEST(Runtime, AllocatingUnknownStructFailsCleanly) {

@@ -16,10 +16,11 @@
 # erasure-soundness gate: `fearlessc mc --mc-checks=off` over the
 # examples and corpus, plus a deadlock fixture whose counterexample
 # schedule must replay deterministically), then the same test suite, server
-# smoke, and chaos smoke under ThreadSanitizer plus the corpus smoke
-# under AddressSanitizer. The concurrent runtime (ParallelExec, ChannelSet) is
-# the part of this repo most likely to rot silently — TSan and chaos
-# keep the "fearless" claim honest.
+# smoke, and chaos smoke under ThreadSanitizer plus the corpus smoke,
+# runtime_test and mc_test under AddressSanitizer. The concurrent
+# runtime (ParallelExec, ChannelSet) is the part of this repo most
+# likely to rot silently — TSan and chaos keep the "fearless" claim
+# honest.
 #
 # Usage: tools/ci.sh [extra ctest args...]
 #
@@ -418,14 +419,23 @@ run_server_smoke "tsan" "$ROOT/build-tsan"
 run_sched_smoke "tsan" "$ROOT/build-tsan"
 run_chaos_smoke "tsan" "$ROOT/build-tsan"
 
-# ASan pass over the analysis front end: the summary engine and the
-# corpus generator push the analyzer over thousands of functions;
-# AddressSanitizer on the same corpus smoke catches lifetime bugs the
-# default pass would miss. Only fearlessc is needed.
+# ASan pass over the analysis front end and the heap's object lifetime:
+# the summary engine and the corpus generator push the analyzer over
+# thousands of functions, and the heap constructs objects in raw block
+# storage, destroys only what it allocated, and is rewound by every mc
+# checkpoint restore. AddressSanitizer on the corpus smoke, runtime_test
+# (heaps across block boundaries, snapshot/restore) and mc_test
+# (checkpointed exploration) catches lifetime bugs the default pass
+# would miss.
 echo "==> [asan] configure + build (FEARLESS_SANITIZE=address)"
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DFEARLESS_SANITIZE=address >/dev/null
-cmake --build "$ROOT/build-asan" -j "$JOBS" --target fearlessc
+cmake --build "$ROOT/build-asan" -j "$JOBS" \
+  --target fearlessc runtime_test mc_test
 run_corpus_smoke "asan" "$ROOT/build-asan"
+for t in runtime_test mc_test; do
+  echo "==> [asan] $t"
+  "$ROOT/build-asan/tests/$t"
+done
 
 # Compile-out pass: the tracing layer must build with FEARLESS_TRACE=OFF
 # (stub API) and the trace suite must still pass (it guards its

@@ -76,6 +76,7 @@
 #include "support/Trace.h"
 #include "vm/Compiler.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -550,9 +551,9 @@ int cmdMc(const char *Path, const char *Fn,
       return ExitError;
   }
 
-  // Every execution gets a fresh machine and (when faults are armed) a
-  // fresh injector — the injector's occurrence counters are run-local
-  // state, exactly like the heap.
+  // The exploration runs on one machine and (when faults are armed) a
+  // fresh injector, whose occurrence counters the machine's checkpoints
+  // save and restore with the heap.
   std::unique_ptr<FaultInjector> InjSlot;
   mc::MachineFactory Factory = [&]() {
     if (*Plan)
@@ -590,8 +591,8 @@ int cmdMc(const char *Path, const char *Fn,
   MO.CheckDivergence = !*Plan;
 
   // Tracing: one mc.run span covering the whole exploration (the
-  // per-execution machines run untraced — thousands of executions would
-  // re-register the same ring buffers).
+  // exploring machine runs untraced — thousands of restored executions
+  // would pile into the same ring buffers).
   TraceSession Trace;
   bool UseTrace = !Opts.TracePath.empty();
   TraceBuffer *TB = nullptr;
@@ -600,7 +601,12 @@ int cmdMc(const char *Path, const char *Fn,
     TB = &Trace.registerThread(4244, "mc");
     TraceStart = TB->now();
   }
+  auto ExploreStart = std::chrono::steady_clock::now();
   Expected<mc::McReport> Rep = mc::explore(Factory, MO);
+  uint64_t ExploreMicros = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - ExploreStart)
+          .count());
   if (TB) {
     TB->record("mc.run", "mc", 'X', TraceStart, TB->now() - TraceStart);
     std::string TraceError;
@@ -618,6 +624,7 @@ int cmdMc(const char *Path, const char *Fn,
     M.McSchedulesPruned = Rep->SchedulesPruned;
     M.McStatesFingerprinted = Rep->StatesFingerprinted;
     M.Steps = Rep->StepsExecuted;
+    M.WallMicros = ExploreMicros;
     M.AnalysisMustDisconnected = Art.MustDisconnectedSites;
     M.AnalysisMustConnected = Art.MustConnectedSites;
     M.AnalysisUnknown = Art.UnknownSites;
