@@ -10,29 +10,30 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 using namespace fearless;
 
 namespace {
 
-/// Collects callee symbols from one expression tree. Iterative (explicit
-/// worklist) so pathological bodies cannot overflow the C++ stack, but
-/// sites are still recorded in a deterministic order (preorder,
-/// left-to-right).
-void collectCalls(const Expr *Root, std::vector<Symbol> &Out) {
-  std::vector<const Expr *> Stack;
-  // Pushing children in reverse keeps the pop order = source order.
-  auto PushRev = [&Stack](std::initializer_list<const Expr *> Es) {
-    std::vector<const Expr *> Tmp;
-    for (const Expr *E : Es)
-      if (E)
-        Tmp.push_back(E);
-    for (auto It = Tmp.rbegin(); It != Tmp.rend(); ++It)
-      Stack.push_back(*It);
+/// Calls \p OnCall for every call expression under \p Root, in preorder,
+/// left to right. Iterative over the caller's \p Stack (reused across
+/// bodies), so pathological bodies cannot overflow the C++ stack and a
+/// walk allocates nothing once the stack has grown.
+template <typename CallFn>
+void forEachCall(const Expr *Root, std::vector<const Expr *> &Stack,
+                 CallFn &&OnCall) {
+  // Children are pushed last-first, so the pop order is source order.
+  auto Push = [&Stack](const Expr *E) {
+    if (E)
+      Stack.push_back(E);
   };
-  if (Root)
-    Stack.push_back(Root);
+  auto PushAll = [&Stack](const std::vector<ExprPtr> &Es) {
+    for (auto It = Es.rbegin(); It != Es.rend(); ++It)
+      if (It->get())
+        Stack.push_back(It->get());
+  };
+  Stack.clear();
+  Push(Root);
   while (!Stack.empty()) {
     const Expr *E = Stack.back();
     Stack.pop_back();
@@ -45,79 +46,78 @@ void collectCalls(const Expr *Root, std::vector<Symbol> &Out) {
     case ExprKind::Recv:
       break;
     case ExprKind::FieldRef:
-      PushRev({cast<FieldRefExpr>(*E).Base.get()});
+      Push(cast<FieldRefExpr>(*E).Base.get());
       break;
     case ExprKind::AssignVar:
-      PushRev({cast<AssignVarExpr>(*E).Value.get()});
+      Push(cast<AssignVarExpr>(*E).Value.get());
       break;
     case ExprKind::AssignField: {
       const auto &A = cast<AssignFieldExpr>(*E);
-      PushRev({A.Base.get(), A.Value.get()});
+      Push(A.Value.get());
+      Push(A.Base.get());
       break;
     }
     case ExprKind::Let: {
       const auto &L = cast<LetExpr>(*E);
-      PushRev({L.Init.get(), L.Body.get()});
+      Push(L.Body.get());
+      Push(L.Init.get());
       break;
     }
     case ExprKind::LetSome: {
       const auto &L = cast<LetSomeExpr>(*E);
-      PushRev({L.Scrutinee.get(), L.SomeBody.get(), L.NoneBody.get()});
+      Push(L.NoneBody.get());
+      Push(L.SomeBody.get());
+      Push(L.Scrutinee.get());
       break;
     }
     case ExprKind::If: {
       const auto &I = cast<IfExpr>(*E);
-      PushRev({I.Cond.get(), I.Then.get(), I.Else.get()});
+      Push(I.Else.get());
+      Push(I.Then.get());
+      Push(I.Cond.get());
       break;
     }
     case ExprKind::IfDisconnected: {
       const auto &I = cast<IfDisconnectedExpr>(*E);
-      PushRev({I.Then.get(), I.Else.get()});
+      Push(I.Else.get());
+      Push(I.Then.get());
       break;
     }
     case ExprKind::While: {
       const auto &W = cast<WhileExpr>(*E);
-      PushRev({W.Cond.get(), W.Body.get()});
+      Push(W.Body.get());
+      Push(W.Cond.get());
       break;
     }
-    case ExprKind::Seq: {
-      const auto &S = cast<SeqExpr>(*E);
-      for (auto It = S.Elems.rbegin(); It != S.Elems.rend(); ++It)
-        if (It->get())
-          Stack.push_back(It->get());
+    case ExprKind::Seq:
+      PushAll(cast<SeqExpr>(*E).Elems);
       break;
-    }
-    case ExprKind::New: {
-      const auto &N = cast<NewExpr>(*E);
-      for (auto It = N.Args.rbegin(); It != N.Args.rend(); ++It)
-        if (It->get())
-          Stack.push_back(It->get());
+    case ExprKind::New:
+      PushAll(cast<NewExpr>(*E).Args);
       break;
-    }
     case ExprKind::SomeExpr:
-      PushRev({cast<SomeExpr>(*E).Operand.get()});
+      Push(cast<SomeExpr>(*E).Operand.get());
       break;
     case ExprKind::IsNone:
-      PushRev({cast<IsNoneExpr>(*E).Operand.get()});
+      Push(cast<IsNoneExpr>(*E).Operand.get());
       break;
     case ExprKind::Send:
-      PushRev({cast<SendExpr>(*E).Operand.get()});
+      Push(cast<SendExpr>(*E).Operand.get());
       break;
     case ExprKind::Call: {
       const auto &C = cast<CallExpr>(*E);
-      Out.push_back(C.Callee);
-      for (auto It = C.Args.rbegin(); It != C.Args.rend(); ++It)
-        if (It->get())
-          Stack.push_back(It->get());
+      OnCall(C);
+      PushAll(C.Args);
       break;
     }
     case ExprKind::Binary: {
       const auto &B = cast<BinaryExpr>(*E);
-      PushRev({B.Lhs.get(), B.Rhs.get()});
+      Push(B.Rhs.get());
+      Push(B.Lhs.get());
       break;
     }
     case ExprKind::Unary:
-      PushRev({cast<UnaryExpr>(*E).Operand.get()});
+      Push(cast<UnaryExpr>(*E).Operand.get());
       break;
     }
   }
@@ -127,93 +127,94 @@ void collectCalls(const Expr *Root, std::vector<Symbol> &Out) {
 
 CallGraph CallGraph::build(const Program &P) {
   CallGraph G;
+  const uint32_t N = static_cast<uint32_t>(P.Functions.size());
+  constexpr uint32_t None = UINT32_MAX;
 
-  std::unordered_set<Symbol> Known;
-  for (const FnDecl &Fn : P.Functions)
-    Known.insert(Fn.Name);
-
-  for (const FnDecl &Fn : P.Functions) {
-    std::vector<Symbol> Sites;
-    collectCalls(Fn.Body.get(), Sites);
-    G.CallSites[Fn.Name] = Sites.size();
-    std::vector<Symbol> Dedup;
-    std::unordered_set<Symbol> Seen;
-    for (Symbol Callee : Sites)
-      if (Known.count(Callee) && Seen.insert(Callee).second)
-        Dedup.push_back(Callee);
-    G.Callees[Fn.Name] = std::move(Dedup);
+  // Callee lists, deduplicated by stamping each callee with the last
+  // caller that listed it.
+  G.CallSites.assign(N, 0);
+  G.CalleeStart.reserve(N + 1);
+  G.CalleeStart.push_back(0);
+  std::vector<uint32_t> ListedBy(N, None);
+  std::vector<const Expr *> Stack;
+  for (uint32_t Fn = 0; Fn < N; ++Fn) {
+    forEachCall(P.Functions[Fn].Body.get(), Stack, [&](const CallExpr &C) {
+      ++G.CallSites[Fn];
+      uint32_t Callee = P.functionIndex(C.Callee);
+      if (Callee != Program::NoFunction && ListedBy[Callee] != Fn) {
+        ListedBy[Callee] = Fn;
+        G.CalleeList.push_back(Callee);
+      }
+    });
+    G.CalleeStart.push_back(static_cast<uint32_t>(G.CalleeList.size()));
   }
 
   // Iterative Tarjan over functions in declaration order. Generated
   // corpora contain multi-thousand-function call chains, so recursion
   // depth must not track call-chain depth.
-  struct VState {
-    size_t Index = SIZE_MAX; // SIZE_MAX = unvisited
-    size_t Lowlink = 0;
-    bool OnStack = false;
-  };
-  std::unordered_map<Symbol, VState> State;
-  State.reserve(P.Functions.size());
-  std::vector<Symbol> TarjanStack;
-  size_t NextIndex = 0;
+  std::vector<uint32_t> Index(N, None), Lowlink(N, 0);
+  std::vector<uint8_t> OnStack(N, 0);
+  std::vector<uint32_t> TarjanStack;
+  uint32_t NextIndex = 0;
+  G.SccOf.assign(N, 0);
+  G.SccList.reserve(N);
+  G.SccStart.push_back(0);
 
   struct Frame {
-    Symbol Fn;
-    size_t NextChild = 0;
+    uint32_t Fn;
+    uint32_t NextChild = 0;
   };
   std::vector<Frame> Work;
+  auto Visit = [&](uint32_t Fn) {
+    Index[Fn] = Lowlink[Fn] = NextIndex++;
+    OnStack[Fn] = 1;
+    TarjanStack.push_back(Fn);
+    Work.push_back({Fn, 0});
+  };
 
-  for (const FnDecl &Root : P.Functions) {
-    if (State[Root.Name].Index != SIZE_MAX)
+  for (uint32_t Root = 0; Root < N; ++Root) {
+    if (Index[Root] != None)
       continue;
-    Work.push_back({Root.Name, 0});
-    State[Root.Name].Index = State[Root.Name].Lowlink = NextIndex++;
-    State[Root.Name].OnStack = true;
-    TarjanStack.push_back(Root.Name);
-
+    Visit(Root);
     while (!Work.empty()) {
       Frame &F = Work.back();
-      const std::vector<Symbol> &Kids = G.Callees[F.Fn];
+      std::span<const uint32_t> Kids = G.callees(F.Fn);
       if (F.NextChild < Kids.size()) {
-        Symbol Child = Kids[F.NextChild++];
-        VState &CS = State[Child];
-        if (CS.Index == SIZE_MAX) {
-          CS.Index = CS.Lowlink = NextIndex++;
-          CS.OnStack = true;
-          TarjanStack.push_back(Child);
-          Work.push_back({Child, 0});
-        } else if (CS.OnStack) {
-          State[F.Fn].Lowlink = std::min(State[F.Fn].Lowlink, CS.Index);
-        }
+        uint32_t Child = Kids[F.NextChild++];
+        if (Index[Child] == None)
+          Visit(Child); // F dangles from here on; not used again.
+        else if (OnStack[Child])
+          Lowlink[F.Fn] = std::min(Lowlink[F.Fn], Index[Child]);
         continue;
       }
       // F's children are exhausted: maybe pop an SCC, then propagate the
       // lowlink into the parent frame.
-      VState &FS = State[F.Fn];
-      if (FS.Lowlink == FS.Index) {
-        std::vector<Symbol> Scc;
+      uint32_t Done = F.Fn;
+      if (Lowlink[Done] == Index[Done]) {
+        size_t First = G.SccList.size();
         for (;;) {
-          Symbol Member = TarjanStack.back();
+          uint32_t Member = TarjanStack.back();
           TarjanStack.pop_back();
-          State[Member].OnStack = false;
-          Scc.push_back(Member);
-          if (Member == F.Fn)
+          OnStack[Member] = 0;
+          G.SccOf[Member] = static_cast<uint32_t>(G.SccStart.size() - 1);
+          G.SccList.push_back(Member);
+          if (Member == Done)
             break;
         }
         // Tarjan pops components in reverse topological order, so
         // appending here directly yields the bottom-up order the summary
-        // engine wants. Keep members in declaration order for stable
-        // reporting.
-        std::sort(Scc.begin(), Scc.end());
-        for (Symbol Member : Scc)
-          G.SccIndex[Member] = G.Sccs.size();
-        G.Sccs.push_back(std::move(Scc));
+        // engine wants. Members are ordered by symbol id: the SCC
+        // fixpoint visits them in this order.
+        std::sort(G.SccList.begin() + First, G.SccList.end(),
+                  [&](uint32_t A, uint32_t B) {
+                    return P.Functions[A].Name < P.Functions[B].Name;
+                  });
+        G.SccStart.push_back(static_cast<uint32_t>(G.SccList.size()));
       }
-      Symbol Done = F.Fn;
       Work.pop_back();
       if (!Work.empty()) {
-        VState &PS = State[Work.back().Fn];
-        PS.Lowlink = std::min(PS.Lowlink, State[Done].Lowlink);
+        uint32_t Parent = Work.back().Fn;
+        Lowlink[Parent] = std::min(Lowlink[Parent], Lowlink[Done]);
       }
     }
   }
@@ -221,35 +222,11 @@ CallGraph CallGraph::build(const Program &P) {
   return G;
 }
 
-const std::vector<Symbol> &CallGraph::callees(Symbol Fn) const {
-  static const std::vector<Symbol> Empty;
-  auto It = Callees.find(Fn);
-  return It == Callees.end() ? Empty : It->second;
-}
-
-size_t CallGraph::callSiteCount(Symbol Fn) const {
-  auto It = CallSites.find(Fn);
-  return It == CallSites.end() ? 0 : It->second;
-}
-
 bool CallGraph::isRecursiveScc(size_t SccIndex) const {
-  assert(SccIndex < Sccs.size());
-  const std::vector<Symbol> &Scc = Sccs[SccIndex];
-  if (Scc.size() > 1)
+  assert(SccIndex < sccCount());
+  std::span<const uint32_t> Members = sccMembers(SccIndex);
+  if (Members.size() > 1)
     return true;
-  const std::vector<Symbol> &Kids = callees(Scc.front());
-  return std::find(Kids.begin(), Kids.end(), Scc.front()) != Kids.end();
-}
-
-size_t CallGraph::sccOf(Symbol Fn) const {
-  auto It = SccIndex.find(Fn);
-  assert(It != SccIndex.end() && "function not in the graph");
-  return It->second;
-}
-
-size_t CallGraph::edgeCount() const {
-  size_t N = 0;
-  for (const auto &[Fn, Kids] : Callees)
-    N += Kids.size();
-  return N;
+  std::span<const uint32_t> Kids = callees(Members.front());
+  return std::find(Kids.begin(), Kids.end(), Members.front()) != Kids.end();
 }

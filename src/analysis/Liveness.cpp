@@ -1,28 +1,83 @@
-//===- analysis/Liveness.cpp ----------------------------------------------===//
-//
-// Part of the fearless-concurrency reproduction.
-//
-//===----------------------------------------------------------------------===//
-
 #include "analysis/Liveness.h"
 
 using namespace fearless;
 
+namespace {
+
+/// Merges the sorted, duplicate-free \p From into \p Into.
+template <typename T>
+void unionInto(std::vector<T> &Into, const std::vector<T> &From) {
+  if (From.empty())
+    return;
+  if (Into.empty()) {
+    Into.assign(From.begin(), From.end());
+    return;
+  }
+  auto Hint = Into.begin();
+  for (const T &X : From) {
+    Hint = std::lower_bound(Hint, Into.end(), X);
+    if (Hint == Into.end() || *Hint != X)
+      Hint = Into.insert(Hint, X);
+    ++Hint;
+  }
+}
+
+/// Multiplicative hash of a node address. The low bits of an address are
+/// alignment, so they are shifted out first; the table takes the low
+/// bits of the result, which mixes address bits 4 and up.
+size_t hashExpr(const Expr *E) {
+  return static_cast<size_t>(
+      (reinterpret_cast<uintptr_t>(E) >> 4) * 0x9E3779B97F4A7C15ull >> 17);
+}
+
+} // namespace
+
+void UseSet::eraseVar(Symbol Var) {
+  auto It = std::lower_bound(Vars.begin(), Vars.end(), Var);
+  if (It != Vars.end() && *It == Var)
+    Vars.erase(It);
+}
+
 void UseSet::merge(const UseSet &Other) {
-  Vars.insert(Other.Vars.begin(), Other.Vars.end());
-  FieldUses.insert(Other.FieldUses.begin(), Other.FieldUses.end());
+  unionInto(Vars, Other.Vars);
+  unionInto(FieldUses, Other.FieldUses);
+}
+
+UseCache::Entry *UseCache::find(const Expr *Key) {
+  size_t Mask = Table.size() - 1;
+  for (size_t I = hashExpr(Key) & Mask;; I = (I + 1) & Mask) {
+    Entry &Slot = Table[I];
+    if (Slot.Epoch != Epoch || Slot.Key == Key)
+      return &Slot;
+  }
+}
+
+void UseCache::grow() {
+  std::vector<Entry> Old = std::move(Table);
+  Table.assign(Old.empty() ? 256 : 2 * Old.size(), Entry{});
+  for (const Entry &E : Old)
+    if (E.Epoch == Epoch)
+      *find(E.Key) = E;
 }
 
 const UseSet &UseCache::uses(const Expr &E) {
-  auto It = Cache.find(&E);
-  if (It != Cache.end())
-    return It->second;
-  UseSet Set = compute(E);
-  return Cache.emplace(&E, std::move(Set)).first->second;
+  if (2 * (Count + 1) > Table.size())
+    grow();
+  Entry *Slot = find(&E);
+  if (Slot->Epoch == Epoch)
+    return Sets[Slot->Set];
+  *Slot = Entry{&E, static_cast<uint32_t>(NumSets), Epoch};
+  ++Count;
+  if (NumSets == Sets.size())
+    Sets.emplace_back();
+  UseSet &Set = Sets[NumSets++];
+  Set.clear();
+  // May grow the table (Slot dangles) but never moves Set.
+  compute(E, Set);
+  return Set;
 }
 
-UseSet UseCache::compute(const Expr &E) {
-  UseSet Set;
+void UseCache::compute(const Expr &E, UseSet &Set) {
   switch (E.kind()) {
   case ExprKind::IntLit:
   case ExprKind::BoolLit:
@@ -31,18 +86,18 @@ UseSet UseCache::compute(const Expr &E) {
   case ExprKind::Recv:
     break;
   case ExprKind::VarRef:
-    Set.Vars.insert(cast<VarRefExpr>(E).Name);
+    Set.addVar(cast<VarRefExpr>(E).Name);
     break;
   case ExprKind::FieldRef: {
     const auto &F = cast<FieldRefExpr>(E);
     Set.merge(uses(*F.Base));
     if (const auto *Var = dyn_cast<VarRefExpr>(F.Base.get()))
-      Set.FieldUses.insert({Var->Name, F.Field});
+      Set.addField(Var->Name, F.Field);
     break;
   }
   case ExprKind::AssignVar: {
     const auto &A = cast<AssignVarExpr>(E);
-    Set.Vars.insert(A.Name);
+    Set.addVar(A.Name);
     Set.merge(uses(*A.Value));
     break;
   }
@@ -51,7 +106,7 @@ UseSet UseCache::compute(const Expr &E) {
     Set.merge(uses(*A.Base));
     Set.merge(uses(*A.Value));
     if (const auto *Var = dyn_cast<VarRefExpr>(A.Base.get()))
-      Set.FieldUses.insert({Var->Name, A.Field});
+      Set.addField(Var->Name, A.Field);
     break;
   }
   case ExprKind::Let: {
@@ -60,7 +115,7 @@ UseSet UseCache::compute(const Expr &E) {
     Set.merge(uses(*L.Body));
     // The bound variable is local; its uses are harmless to keep (no
     // shadowing), but drop them for precision.
-    Set.Vars.erase(L.Name);
+    Set.eraseVar(L.Name);
     break;
   }
   case ExprKind::LetSome: {
@@ -68,7 +123,7 @@ UseSet UseCache::compute(const Expr &E) {
     Set.merge(uses(*L.Scrutinee));
     Set.merge(uses(*L.SomeBody));
     Set.merge(uses(*L.NoneBody));
-    Set.Vars.erase(L.Name);
+    Set.eraseVar(L.Name);
     break;
   }
   case ExprKind::If: {
@@ -81,8 +136,8 @@ UseSet UseCache::compute(const Expr &E) {
   }
   case ExprKind::IfDisconnected: {
     const auto &I = cast<IfDisconnectedExpr>(E);
-    Set.Vars.insert(I.VarA);
-    Set.Vars.insert(I.VarB);
+    Set.addVar(I.VarA);
+    Set.addVar(I.VarB);
     Set.merge(uses(*I.Then));
     Set.merge(uses(*I.Else));
     break;
@@ -125,7 +180,7 @@ UseSet UseCache::compute(const Expr &E) {
           if (Callee->Params[I].Name != Path.Base)
             continue;
           if (const auto *Var = dyn_cast<VarRefExpr>(C.Args[I].get()))
-            Set.FieldUses.insert({Var->Name, Path.Field});
+            Set.addField(Var->Name, Path.Field);
         }
       };
       for (const AfterRelation &Rel : Callee->Afters) {
@@ -149,5 +204,4 @@ UseSet UseCache::compute(const Expr &E) {
     Set.merge(uses(*cast<UnaryExpr>(E).Operand));
     break;
   }
-  return Set;
 }

@@ -41,6 +41,7 @@
 #include "sema/Resolver.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 namespace fearless {
@@ -77,21 +78,25 @@ bool isHubKind(AbsNodeKind K) {
 
 class FnAnalyzer {
 public:
-  /// \p Report may be null (effects-only mode: no site classification,
-  /// no diagnostics). \p Summaries may be null (intra-procedural mode:
-  /// every call applies the signature-derived havoc).
+  /// \p Classify false skips site classification (effects-only runs).
+  /// \p Summaries may be null (intra-procedural mode: every call applies
+  /// the signature-derived havoc).
   FnAnalyzer(const CheckedProgram &CP, const CheckedFunction &Fn,
-             AnalysisReport *Report, const SummaryTable *Summaries)
-      : CP(CP), Fn(Fn), Report(Report), Summaries(Summaries),
+             bool Classify, const SummaryTable *Summaries)
+      : CP(CP), Fn(Fn), Classify(Classify), Summaries(Summaries),
         Names(CP.Prog->Names) {}
 
-  void run();
-  FnEffects runForEffects();
+  /// Interprets the body from the entry state; returns the exit value.
+  PointsTo run();
+  /// The site verdicts and their diagnostics, after run().
+  void emitReport(FnReport &Out) const;
+  /// The region effects observed, after run() returned \p Exit.
+  FnEffects effects(const PointsTo &Exit) const;
 
 private:
   const CheckedProgram &CP;
   const CheckedFunction &Fn;
-  AnalysisReport *Report;
+  bool Classify;
   const SummaryTable *Summaries;
   const Interner &Names;
 
@@ -816,7 +821,7 @@ void FnAnalyzer::classify(const IfDisconnectedExpr &E) {
 
 void FnAnalyzer::evalIfDisconnected(const IfDisconnectedExpr &E,
                                     PointsTo &Value) {
-  if (Report) // Effects-only runs skip the (side-effect-free) verdicts.
+  if (Classify) // Effects-only runs skip the (side-effect-free) verdicts.
     classify(E);
   // Both branches are analyzed regardless of the verdict (the dead one is
   // reported, not skipped): the runtime split in the then-branch does not
@@ -961,15 +966,15 @@ PointsTo FnAnalyzer::evaluate(const Expr *E) {
   return PointsTo{};
 }
 
-void FnAnalyzer::run() {
+PointsTo FnAnalyzer::run() {
   buildEntryState();
-  evaluate(Fn.Sig.Decl->Body.get());
-  if (!Report)
-    return;
+  return evaluate(Fn.Sig.Decl->Body.get());
+}
 
+void FnAnalyzer::emitReport(FnReport &Out) const {
   for (const IfDisconnectedExpr *Site : SiteOrder) {
     const SiteReport &R = SiteVerdicts.at(Site);
-    Report->Sites.push_back(R);
+    Out.Sites.push_back(R);
 
     std::string Args = "`if disconnected(" + Names.spelling(Site->VarA) +
                        ", " + Names.spelling(Site->VarB) + ")`";
@@ -990,7 +995,7 @@ void FnAnalyzer::run() {
       D.Message = Args + " is unknown: the runtime traversal decides";
       break;
     }
-    Report->Diags.push_back(D);
+    Out.Diags.push_back(D);
 
     if (R.Verdict != DisconnectVerdict::Unknown) {
       const Expr *Dead = R.Verdict == DisconnectVerdict::MustDisconnected
@@ -1005,16 +1010,13 @@ void FnAnalyzer::run() {
         DB.Message = std::string("dead ") + Which +
                      "-branch: the `if disconnected` at " + toString(R.Loc) +
                      " is " + toString(R.Verdict);
-        Report->Diags.push_back(DB);
+        Out.Diags.push_back(DB);
       }
     }
   }
 }
 
-FnEffects FnAnalyzer::runForEffects() {
-  buildEntryState();
-  PointsTo Exit = evaluate(Fn.Sig.Decl->Body.get());
-
+FnEffects FnAnalyzer::effects(const PointsTo &Exit) const {
   FnEffects E;
   E.Params = ParamNames;
   E.ResultRegionful = Fn.Sig.ReturnType.isRegionful();
@@ -1317,26 +1319,38 @@ DisconnectVerdictTable AnalysisReport::verdictTable() const {
   return T;
 }
 
-FnEffects analyzeFunctionEffects(const CheckedProgram &CP,
-                                 const CheckedFunction &Fn,
-                                 const SummaryTable &Summaries) {
-  FnAnalyzer A(CP, Fn, /*Report=*/nullptr, &Summaries);
-  return A.runForEffects();
+void interpretFunction(const CheckedProgram &CP, const CheckedFunction &Fn,
+                       const SummaryTable *Summaries, FnEffects *Effects,
+                       FnReport *Report) {
+  FnAnalyzer A(CP, Fn, /*Classify=*/Report != nullptr, Summaries);
+  PointsTo Exit = A.run();
+  if (Effects)
+    *Effects = A.effects(Exit);
+  if (Report)
+    A.emitReport(*Report);
 }
 
 AnalysisReport analyzeProgram(const CheckedProgram &CP,
                               const AnalysisOptions &Opts) {
   AnalysisReport Report;
-  if (Opts.Interprocedural)
-    Report.Summaries = computeSummaries(CP, &Report.SummaryInfo);
-  const SummaryTable *Sums =
-      Opts.Interprocedural ? &Report.Summaries : nullptr;
-  for (const FnDecl &F : CP.Prog->Functions) {
-    auto It = CP.Functions.find(F.Name);
-    if (It == CP.Functions.end())
-      continue;
-    FnAnalyzer A(CP, It->second, &Report, Sums);
-    A.run();
+  const std::vector<FnDecl> &Fns = CP.Prog->Functions;
+  // One report per function, by declaration index. In interprocedural
+  // mode the summary engine fills them from the same runs that compute
+  // the summaries.
+  std::vector<FnReport> PerFn(Fns.size());
+  if (Opts.Interprocedural) {
+    Report.Summaries = computeSummaries(CP, &Report.SummaryInfo, &PerFn);
+  } else {
+    for (size_t I = 0; I < Fns.size(); ++I)
+      if (auto It = CP.Functions.find(Fns[I].Name);
+          It != CP.Functions.end())
+        interpretFunction(CP, It->second, nullptr, nullptr, &PerFn[I]);
+  }
+  for (FnReport &R : PerFn) {
+    std::move(R.Sites.begin(), R.Sites.end(),
+              std::back_inserter(Report.Sites));
+    std::move(R.Diags.begin(), R.Diags.end(),
+              std::back_inserter(Report.Diags));
   }
   auto Lints = lintProgram(*CP.Prog);
   Report.Diags.insert(Report.Diags.end(), Lints.begin(), Lints.end());

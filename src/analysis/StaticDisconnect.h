@@ -68,6 +68,13 @@ struct SiteReport {
   std::string Witness;
 };
 
+/// What the analysis reports for one function: its sites in first-visit
+/// order and their diagnostics.
+struct FnReport {
+  std::vector<SiteReport> Sites;
+  std::vector<AnalysisDiag> Diags;
+};
+
 /// Everything the analysis produced for one program.
 struct AnalysisReport {
   std::vector<SiteReport> Sites;

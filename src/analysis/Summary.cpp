@@ -7,6 +7,7 @@
 #include "analysis/Summary.h"
 
 #include "analysis/CallGraph.h"
+#include "analysis/StaticDisconnect.h"
 #include "ast/Ast.h"
 
 #include <sstream>
@@ -88,15 +89,32 @@ bool degradeWith(FnSummary &S, const FnEffects &E) {
 } // namespace
 
 SummaryTable fearless::computeSummaries(const CheckedProgram &CP,
-                                        SummaryStats *Stats) {
+                                        SummaryStats *Stats,
+                                        std::vector<FnReport> *Reports) {
   SummaryTable Table;
   SummaryStats Local;
+  const std::vector<FnDecl> &Fns = CP.Prog->Functions;
   CallGraph CG = CallGraph::build(*CP.Prog);
-  Local.Functions = CP.Prog->Functions.size();
-  Local.Sccs = CG.sccs().size();
+  Local.Functions = Fns.size();
+  Local.Sccs = CG.sccCount();
 
-  for (size_t SccI = 0; SccI < CG.sccs().size(); ++SccI) {
-    const std::vector<Symbol> &Scc = CG.sccs()[SccI];
+  // Reports of an invalidated SCC's members: one more run each, under the
+  // invalid entries (the signature havoc) their callers will see.
+  auto ReportUnderHavoc = [&](std::span<const uint32_t> Scc) {
+    if (!Reports)
+      return;
+    for (uint32_t Fn : Scc) {
+      auto FnIt = CP.Functions.find(Fns[Fn].Name);
+      if (FnIt == CP.Functions.end())
+        continue;
+      (*Reports)[Fn] = FnReport{};
+      interpretFunction(CP, FnIt->second, &Table, nullptr, &(*Reports)[Fn]);
+      ++Local.ReportRuns;
+    }
+  };
+
+  for (size_t SccI = 0; SccI < CG.sccCount(); ++SccI) {
+    std::span<const uint32_t> Scc = CG.sccMembers(SccI);
     bool Recursive = CG.isRecursiveScc(SccI);
     if (Recursive)
       ++Local.RecursiveSccs;
@@ -105,35 +123,46 @@ SummaryTable fearless::computeSummaries(const CheckedProgram &CP,
     // sites resolve against the current approximation instead of the
     // havoc bottom.
     bool Usable = true;
-    for (Symbol Fn : Scc) {
-      auto SigIt = CP.Signatures.find(Fn);
-      auto FnIt = CP.Functions.find(Fn);
-      if (SigIt == CP.Signatures.end() || FnIt == CP.Functions.end()) {
+    for (uint32_t Fn : Scc) {
+      Symbol Name = Fns[Fn].Name;
+      auto SigIt = CP.Signatures.find(Name);
+      if (SigIt == CP.Signatures.end() || !CP.Functions.contains(Name)) {
         Usable = false;
         continue;
       }
-      Table[Fn] = optimisticSummary(SigIt->second);
+      Table[Name] = optimisticSummary(SigIt->second);
     }
     if (!Usable) {
-      for (Symbol Fn : Scc)
-        Table[Fn].Valid = false;
+      for (uint32_t Fn : Scc)
+        Table[Fns[Fn].Name].Valid = false;
       Local.Invalidated += Scc.size();
+      ReportUnderHavoc(Scc);
       continue;
     }
 
     // One pass suffices for non-recursive components; recursive ones
     // iterate to a fixpoint. The lattice height is bounded by the
     // member's parameter and slot-pair counts, so the cap below is a
-    // backstop, not a tuning knob.
+    // backstop, not a tuning knob. Each run also writes the member's
+    // report, overwriting the previous iteration's: callees in earlier
+    // SCCs are final, and an iteration that degrades nothing ran every
+    // member under the final table, so the surviving reports are the
+    // ones the final table gives.
     size_t Cap = Recursive ? 4 * Scc.size() + 4 : 1;
     bool Stable = false;
     for (size_t Iter = 0; Iter < Cap && !Stable; ++Iter) {
       Stable = true;
-      for (Symbol Fn : Scc) {
-        FnEffects E = analyzeFunctionEffects(CP, CP.Functions.at(Fn),
-                                             Table);
+      for (uint32_t Fn : Scc) {
+        Symbol Name = Fns[Fn].Name;
+        FnReport *Report = nullptr;
+        if (Reports) {
+          Report = &(*Reports)[Fn];
+          *Report = FnReport{};
+        }
+        FnEffects E;
+        interpretFunction(CP, CP.Functions.at(Name), &Table, &E, Report);
         ++Local.EffectRuns;
-        if (degradeWith(Table[Fn], E))
+        if (degradeWith(Table[Name], E))
           Stable = false;
       }
       if (!Recursive)
@@ -141,9 +170,10 @@ SummaryTable fearless::computeSummaries(const CheckedProgram &CP,
     }
     if (Recursive && !Stable) {
       // Did not converge under the cap: drop to the sound bottom.
-      for (Symbol Fn : Scc)
-        Table[Fn].Valid = false;
+      for (uint32_t Fn : Scc)
+        Table[Fns[Fn].Name].Valid = false;
       Local.Invalidated += Scc.size();
+      ReportUnderHavoc(Scc);
     }
   }
 

@@ -88,6 +88,11 @@ struct SummaryStats {
   size_t RecursiveSccs = 0;
   /// Total per-function effect analyses run (fixpoint revisits included).
   size_t EffectRuns = 0;
+  /// Report-only analyses: when reports are requested, each function's
+  /// report comes from its final effects run, except in SCCs whose
+  /// summaries were invalidated — their members run once more, under the
+  /// signature havoc their callers will see. 0 on an acyclic program.
+  size_t ReportRuns = 0;
   /// Functions whose SCC hit the iteration cap (summary invalidated).
   size_t Invalidated = 0;
   size_t PreservedParams = 0;
@@ -96,7 +101,7 @@ struct SummaryStats {
 
 /// The raw effects one abstract interpretation of a function body
 /// observed, from which Summary.cpp derives the FnSummary. Computed by
-/// the FnAnalyzer in StaticDisconnect.cpp (analyzeFunctionEffects):
+/// the FnAnalyzer in StaticDisconnect.cpp (interpretFunction):
 /// Touched[i] is true when any node ever reachable from parameter i's
 /// entry cohort was the base of a field write, was stored as a field
 /// value, was sent, or was havocked by an inner call; SlotOverlap is the
@@ -108,17 +113,23 @@ struct FnEffects {
   bool ResultRegionful = false;
 };
 
-/// Runs the abstract interpreter over \p Fn in effects-collection mode,
-/// resolving inner calls against \p Summaries (absent or invalid entries
-/// fall back to signature havoc). Implemented in StaticDisconnect.cpp.
-FnEffects analyzeFunctionEffects(const CheckedProgram &CP,
-                                 const CheckedFunction &Fn,
-                                 const SummaryTable &Summaries);
+struct FnReport; // analysis/StaticDisconnect.h
+
+/// Runs the abstract interpreter over \p Fn once, resolving inner calls
+/// against \p Summaries (null: intra-procedural mode; absent or invalid
+/// entries fall back to signature havoc). Fills \p Effects and \p Report
+/// when they are non-null. Implemented in StaticDisconnect.cpp.
+void interpretFunction(const CheckedProgram &CP, const CheckedFunction &Fn,
+                       const SummaryTable *Summaries, FnEffects *Effects,
+                       FnReport *Report);
 
 /// Computes the summary of every checked function of \p CP bottom-up
-/// over the SCC condensation of its call graph.
+/// over the SCC condensation of its call graph. With \p Reports (sized to
+/// the program's function count), also fills each checked function's
+/// report, by declaration index, as analyzed under the final table.
 SummaryTable computeSummaries(const CheckedProgram &CP,
-                              SummaryStats *Stats = nullptr);
+                              SummaryStats *Stats = nullptr,
+                              std::vector<FnReport> *Reports = nullptr);
 
 /// Renders one summary as a single human-readable line (the `fearlessc
 /// analyze --summaries` dump), e.g.

@@ -83,8 +83,13 @@ const StructDecl *Program::findStruct(Symbol Name) const {
 }
 
 const FnDecl *Program::findFunction(Symbol Name) const {
-  for (const FnDecl &F : Functions)
-    if (F.Name == Name)
-      return &F;
-  return nullptr;
+  uint32_t I = functionIndex(Name);
+  return I == NoFunction ? nullptr : &Functions[I];
+}
+
+void Program::indexFunctions() {
+  FnIndex.assign(Names.size() + 1, NoFunction);
+  // Backwards, so that the first declaration of a duplicated name wins.
+  for (size_t I = Functions.size(); I-- > 0;)
+    FnIndex[Functions[I].Name.Id] = static_cast<uint32_t>(I);
 }

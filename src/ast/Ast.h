@@ -22,6 +22,7 @@
 #include "support/Interner.h"
 
 #include <cassert>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -458,12 +459,32 @@ struct FnDecl {
 
 /// A whole translation unit: interner plus declarations.
 struct Program {
+  /// functionIndex() of a name no function declares.
+  static constexpr uint32_t NoFunction = UINT32_MAX;
+
   Interner Names;
   std::vector<StructDecl> Structs;
   std::vector<FnDecl> Functions;
 
   const StructDecl *findStruct(Symbol Name) const;
+  /// The first function declared as \p Name, or nullptr. O(1) through
+  /// the index indexFunctions() builds.
   const FnDecl *findFunction(Symbol Name) const;
+  /// Position in Functions of the first function declared as \p Name,
+  /// or NoFunction.
+  uint32_t functionIndex(Symbol Name) const {
+    return Name.Id < FnIndex.size() ? FnIndex[Name.Id] : NoFunction;
+  }
+  /// Rebuilds the name -> function index over Functions. The parser calls
+  /// it once all declarations are in; code that edits Functions by hand
+  /// must call it again.
+  void indexFunctions();
+
+private:
+  /// Symbol id -> position of its first declaration in Functions
+  /// (NoFunction for ids no function declares). Covers the symbols
+  /// interned when it was built; later ones find nothing.
+  std::vector<uint32_t> FnIndex;
 };
 
 } // namespace fearless

@@ -14,6 +14,7 @@
 #include "parser/Parser.h"
 #include "regions/Canonical.h"
 #include "sema/Resolver.h"
+#include "support/Trace.h"
 
 #include <cassert>
 
@@ -60,7 +61,7 @@ public:
     Cont.ResultLive = true;
     for (const ParamDecl &Param : F.Params)
       if (Param.ParamType.isRegionful())
-        Cont.AlwaysValid.insert(Param.Name);
+        insertSorted(Cont.AlwaysValid, Param.Name);
     Expected<ExprResult> Res = check(*F.Body, Cont, &ReturnType);
     if (!Res)
       return Failure{prefix(F, Res.error())};
@@ -1106,6 +1107,7 @@ Expected<CheckedProgram> fearless::checkProgram(const Program &P,
 
   UseCache Uses(P);
   for (const FnDecl &F : P.Functions) {
+    Uses.clear(); // Use sets never cross a function boundary.
     FnChecker Checker(P, Out.Structs, Out.Signatures, Opts, Uses, Supply,
                       Out.SendTypes);
     Expected<CheckedFunction> Checked = Checker.run(F);
@@ -1117,16 +1119,23 @@ Expected<CheckedProgram> fearless::checkProgram(const Program &P,
 }
 
 Expected<FrontendResult> fearless::checkSource(std::string_view Source,
-                                               const CheckerOptions &Opts) {
+                                               const CheckerOptions &Opts,
+                                               TraceBuffer *Trace) {
   DiagnosticEngine Diags;
-  std::optional<Program> Parsed = parseProgram(Source, Diags);
+  std::optional<Program> Parsed = [&] {
+    TraceSpan Span(Trace, "pipeline.parse", "pipeline");
+    return parseProgram(Source, Diags);
+  }();
   if (!Parsed) {
     Failure F = fail(Diags.renderAll());
     F.Diag.Stage = DiagnosticStage::Parse;
     return F;
   }
   FrontendResult Out{std::make_unique<Program>(std::move(*Parsed)), {}};
-  Expected<CheckedProgram> Checked = checkProgram(*Out.Prog, Opts);
+  Expected<CheckedProgram> Checked = [&] {
+    TraceSpan Span(Trace, "pipeline.check", "pipeline");
+    return checkProgram(*Out.Prog, Opts);
+  }();
   if (!Checked) {
     Failure F = Checked.takeFailure();
     F.Diag.Stage = DiagnosticStage::Check;

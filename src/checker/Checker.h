@@ -30,6 +30,8 @@
 
 namespace fearless {
 
+class TraceBuffer;
+
 /// Tuning knobs; defaults match the paper's configuration (liveness
 /// oracle enabled, derivations emitted).
 struct CheckerOptions {
@@ -76,8 +78,11 @@ struct FrontendResult {
   std::unique_ptr<Program> Prog;
   CheckedProgram Checked;
 };
+/// \p Trace, when set, receives a `pipeline.parse` and a
+/// `pipeline.check` span.
 Expected<FrontendResult> checkSource(std::string_view Source,
-                                     const CheckerOptions &Opts = {});
+                                     const CheckerOptions &Opts = {},
+                                     TraceBuffer *Trace = nullptr);
 
 } // namespace fearless
 

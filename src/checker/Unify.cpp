@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
 
 using namespace fearless;
 

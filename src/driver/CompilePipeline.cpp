@@ -47,9 +47,12 @@ size_t CompiledArtifact::approxBytes() const {
 Expected<std::shared_ptr<const CompiledArtifact>>
 fearless::buildArtifact(std::string_view Source,
                         const PipelineOptions &Opts, TraceSession *Trace) {
+  // One lane carries the stage spans of this build.
+  TraceBuffer *TB =
+      Trace ? &Trace->registerThread(4242, "compiler") : nullptr;
   CheckerOptions CO;
   CO.UseLivenessOracle = Opts.UseOracle;
-  Expected<Pipeline> P = compile(Source, CO);
+  Expected<Pipeline> P = compile(Source, CO, /*Verify=*/true, TB);
   if (!P)
     return P.takeFailure();
 
@@ -60,7 +63,10 @@ fearless::buildArtifact(std::string_view Source,
 
   AnalysisOptions AO;
   AO.Interprocedural = Opts.Interprocedural;
-  A->Report = analyzeProgram(A->P.Checked, AO);
+  {
+    TraceSpan Span(TB, "pipeline.analyze", "pipeline");
+    A->Report = analyzeProgram(A->P.Checked, AO);
+  }
   A->Verdicts = A->Report.verdictTable();
   for (const SiteReport &S : A->Report.Sites) {
     switch (S.Verdict) {
@@ -84,17 +90,10 @@ fearless::buildArtifact(std::string_view Source,
 #ifndef NDEBUG
     VO.CrossCheckElision = true;
 #endif
-    uint64_t CompileStart = 0;
-    TraceBuffer *CompileTB = nullptr;
-    if (Trace) {
-      CompileTB = &Trace->registerThread(4242, "vm-compiler");
-      CompileStart = CompileTB->now();
-    }
-    Expected<vm::CompiledProgram> Code =
-        vm::compileProgram(A->P.Checked, VO);
-    if (CompileTB)
-      CompileTB->record("vm.compile", "vm", 'X', CompileStart,
-                        CompileTB->now() - CompileStart);
+    Expected<vm::CompiledProgram> Code = [&] {
+      TraceSpan Span(TB, "vm.compile", "vm");
+      return vm::compileProgram(A->P.Checked, VO);
+    }();
     if (!Code)
       return Code.takeFailure();
     A->VmCode.emplace(Code.take());

@@ -99,9 +99,11 @@ struct CompiledArtifact {
 };
 
 /// Runs parse + sema + check + verify + analyze (+ vm lowering for the
-/// vm engine) over \p Source. \p Trace, when set, records a `vm.compile`
-/// span on a dedicated buffer. Failures carry the DiagnosticStage that
-/// maps to the CLI exit-code table.
+/// vm engine) over \p Source. \p Trace, when set, records one span per
+/// stage — `pipeline.parse`, `pipeline.check`, `pipeline.verify`,
+/// `pipeline.analyze` and `vm.compile` — on a dedicated `compiler` lane.
+/// Failures carry the DiagnosticStage that maps to the CLI exit-code
+/// table.
 Expected<std::shared_ptr<const CompiledArtifact>>
 buildArtifact(std::string_view Source, const PipelineOptions &Opts,
               TraceSession *Trace = nullptr);

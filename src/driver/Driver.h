@@ -28,10 +28,12 @@ struct Pipeline {
   VerifyStats Verified;
 };
 
-/// Runs the full pipeline; \p Verify re-checks all derivations.
+/// Runs the full pipeline; \p Verify re-checks all derivations. \p Trace,
+/// when set, receives one span per stage: `pipeline.parse`,
+/// `pipeline.check` and `pipeline.verify`.
 Expected<Pipeline> compile(std::string_view Source,
                            const CheckerOptions &Opts = {},
-                           bool Verify = true);
+                           bool Verify = true, TraceBuffer *Trace = nullptr);
 
 /// Sample surface programs.
 namespace programs {

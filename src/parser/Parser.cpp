@@ -804,6 +804,7 @@ std::optional<Program> fearless::parseProgram(std::string_view Source,
   Parser TheParser(std::move(Tokens), P.Names, Diags);
   if (!TheParser.parseDecls(P))
     return std::nullopt;
+  P.indexFunctions();
   return P;
 }
 

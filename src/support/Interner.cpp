@@ -12,12 +12,12 @@ using namespace fearless;
 
 Symbol Interner::intern(std::string_view Text) {
   assert(!Text.empty() && "interning an empty identifier");
-  auto It = Index.find(std::string(Text));
+  auto It = Index.find(Text);
   if (It != Index.end())
     return Symbol{It->second};
   uint32_t Id = static_cast<uint32_t>(Spellings.size());
   Spellings.emplace_back(Text);
-  Index.emplace(std::string(Text), Id);
+  Index.emplace(Spellings.back(), Id);
   return Symbol{Id};
 }
 

@@ -15,6 +15,7 @@
 #define FEARLESS_SUPPORT_INTERNER_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -44,8 +45,18 @@ public:
   size_t size() const { return Spellings.size() - 1; }
 
 private:
+  /// Hashes std::string and std::string_view alike, so that lookups by
+  /// view (every identifier the lexer hands over) allocate nothing.
+  struct SpellingHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const noexcept {
+      return std::hash<std::string_view>()(S);
+    }
+  };
+
   std::vector<std::string> Spellings = {""}; // index 0 reserved: invalid
-  std::unordered_map<std::string, uint32_t> Index;
+  std::unordered_map<std::string, uint32_t, SpellingHash, std::equal_to<>>
+      Index;
 };
 
 } // namespace fearless

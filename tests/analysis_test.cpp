@@ -8,7 +8,8 @@
 //  - verdict unit tests: must-disconnected, must-connected (with
 //    witnesses), and the joins/calls that force unknown;
 //  - golden-file tests: one fixture per diagnostic kind, diffed exactly
-//    against `fearlessc analyze` output;
+//    against `fearlessc analyze` output, plus one generated corpus per
+//    call-graph shape pinning the JSON report and the summary dump;
 //  - the runtime elision integration: must-* sites answered from the
 //    verdict table, cross-checked against the real traversal;
 //  - a property sweep: on randomly generated programs, running with
@@ -187,6 +188,30 @@ TEST(AnalysisGolden, FixturesMatchExactly) {
   }
 }
 
+TEST(AnalysisGolden, CorpusShapesMatchExactly) {
+  // One 128-function `tools/gen_corpus.py --seed 13` program per shape;
+  // the .expected files hold `fearlessc analyze --json` and `--summaries`
+  // output recorded before the call graph, the summary engine and the
+  // liveness sets were last reworked, so any drift in verdicts,
+  // summaries or report order shows up here.
+  for (const char *Shape : {"chain", "diamond", "scc", "cross", "mixed"}) {
+    std::string Name = std::string("corpus_") + Shape;
+    std::string Base = std::string(FEARLESS_FIXTURES_DIR) + "/" + Name;
+    std::string Source = slurp(Base + ".fls");
+    ASSERT_FALSE(Source.empty()) << Name;
+    SourceAnalysisOptions Json;
+    Json.Json = true;
+    EXPECT_EQ(analyzeSourceText(Source, Name + ".fls", Json).Rendered,
+              slurp(Base + ".json.expected"))
+        << Name;
+    SourceAnalysisOptions Summaries;
+    Summaries.DumpSummaries = true;
+    EXPECT_EQ(analyzeSourceText(Source, Name + ".fls", Summaries).Rendered,
+              slurp(Base + ".summaries.expected"))
+        << Name;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Runtime elision integration
 //===----------------------------------------------------------------------===//
@@ -320,6 +345,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StaticVsRuntime,
 // Call graph: SCC condensation, bottom-up order
 //===----------------------------------------------------------------------===//
 
+/// Position of the function named \p Name in the program.
+uint32_t fnIndex(Pipeline &P, std::string_view Name) {
+  return P.Prog->functionIndex(sym(P, Name));
+}
+
 TEST(CallGraphTest, ChainIsBottomUpSingletons) {
   Pipeline P = mustCompile(R"(
 struct gnode { next : gnode; }
@@ -328,12 +358,12 @@ def mid(x : gnode) : int { leaf(x) }
 def main() : int { let a = new gnode(); mid(a) }
 )");
   CallGraph G = CallGraph::build(*P.Prog);
-  ASSERT_EQ(G.sccs().size(), 3u);
+  ASSERT_EQ(G.sccCount(), 3u);
   // Bottom-up: callees come before callers.
-  EXPECT_LT(G.sccOf(sym(P, "leaf")), G.sccOf(sym(P, "mid")));
-  EXPECT_LT(G.sccOf(sym(P, "mid")), G.sccOf(sym(P, "main")));
+  EXPECT_LT(G.sccOf(fnIndex(P, "leaf")), G.sccOf(fnIndex(P, "mid")));
+  EXPECT_LT(G.sccOf(fnIndex(P, "mid")), G.sccOf(fnIndex(P, "main")));
   EXPECT_EQ(G.edgeCount(), 2u);
-  for (size_t I = 0; I < G.sccs().size(); ++I)
+  for (size_t I = 0; I < G.sccCount(); ++I)
     EXPECT_FALSE(G.isRecursiveScc(I));
 }
 
@@ -349,12 +379,12 @@ def pong(x : gnode, n : int) : int {
 def main() : int { let a = new gnode(); ping(a, 4) }
 )");
   CallGraph G = CallGraph::build(*P.Prog);
-  ASSERT_EQ(G.sccs().size(), 2u);
-  EXPECT_EQ(G.sccOf(sym(P, "ping")), G.sccOf(sym(P, "pong")));
-  EXPECT_TRUE(G.isRecursiveScc(G.sccOf(sym(P, "ping"))));
-  EXPECT_LT(G.sccOf(sym(P, "ping")), G.sccOf(sym(P, "main")));
+  ASSERT_EQ(G.sccCount(), 2u);
+  EXPECT_EQ(G.sccOf(fnIndex(P, "ping")), G.sccOf(fnIndex(P, "pong")));
+  EXPECT_TRUE(G.isRecursiveScc(G.sccOf(fnIndex(P, "ping"))));
+  EXPECT_LT(G.sccOf(fnIndex(P, "ping")), G.sccOf(fnIndex(P, "main")));
   // Self-loops count as recursive even in a singleton SCC.
-  EXPECT_FALSE(G.isRecursiveScc(G.sccOf(sym(P, "main"))));
+  EXPECT_FALSE(G.isRecursiveScc(G.sccOf(fnIndex(P, "main"))));
 }
 
 TEST(CallGraphTest, DedupesRepeatedCallSites) {
@@ -369,8 +399,8 @@ def main() : int {
 }
 )");
   CallGraph G = CallGraph::build(*P.Prog);
-  EXPECT_EQ(G.callees(sym(P, "main")).size(), 1u);
-  EXPECT_EQ(G.callSiteCount(sym(P, "main")), 2u);
+  EXPECT_EQ(G.callees(fnIndex(P, "main")).size(), 1u);
+  EXPECT_EQ(G.callSiteCount(fnIndex(P, "main")), 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -420,6 +450,107 @@ def main() : int { let a = new gnode(); even_len(a, 4) }
     ASSERT_EQ(S.Params.size(), 1u) << Name;
     EXPECT_TRUE(S.Preserved[0]) << Name;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// One abstract interpretation per function: reports come from the final
+// effects run
+//===----------------------------------------------------------------------===//
+
+TEST(SummaryRuns, AcyclicProgramInterpretsEachFunctionOnce) {
+  Pipeline P = mustCompile(R"(
+struct gnode { next : gnode; value : int; }
+def peek(x : gnode) : int { x.value }
+def relink(x : gnode) : int { x.next = new gnode(); peek(x) }
+def main() : int {
+  let a = new gnode();
+  let b = new gnode();
+  a.next = b;
+  a.next = a;
+  let v = peek(a) + relink(b);
+  if disconnected(a, b) { v } else { 0 }
+}
+)");
+  AnalysisReport R = analyzeProgram(P.Checked);
+  EXPECT_EQ(R.SummaryInfo.Functions, 3u);
+  EXPECT_EQ(R.SummaryInfo.RecursiveSccs, 0u);
+  // Every SCC is a non-recursive singleton: one effects run each, and
+  // the report rides along with it.
+  EXPECT_EQ(R.SummaryInfo.EffectRuns, 3u);
+  EXPECT_EQ(R.SummaryInfo.ReportRuns, 0u);
+  ASSERT_EQ(R.Sites.size(), 1u);
+  EXPECT_EQ(R.Sites[0].Function, sym(P, "main"));
+}
+
+/// Two mutually recursive functions rotating \p Params parameters one
+/// place per call, so that a write into the first parameter needs one
+/// fixpoint iteration per parameter to reach them all: with enough
+/// parameters the SCC hits the iteration cap. A last parameter `q` is
+/// passed along untouched, so every iteration's summaries keep it
+/// preserved; ping passes a local through it and then tests an
+/// `if disconnected` site that is must-disconnected under those
+/// summaries and unknown under signature havoc.
+std::string rotatingScc(size_t Params) {
+  std::string Decl, Args, Rotated, Lets;
+  for (size_t I = 0; I < Params; ++I) {
+    std::string Name = "p" + std::to_string(I);
+    std::string Next = "p" + std::to_string((I + 1) % Params);
+    Decl += Name + " : gnode, ";
+    Args += Name + ", ";
+    Rotated += Next + ", ";
+    Lets += "let " + Name + " = new gnode(); ";
+  }
+  return "struct gnode { next : gnode; }\n"
+         "def ping(" + Decl + "q : gnode, n : int) : int {\n"
+         "  let a = new gnode(); let b = new gnode();\n"
+         "  a.next = b; a.next = a;\n"
+         "  let r = if (n < 1) { p0.next = new gnode(); 0 }\n"
+         "          else { pong(" + Rotated + "a, n - 1) };\n"
+         "  if disconnected(a, b) { r } else { 1 }\n"
+         "}\n"
+         "def pong(" + Decl + "q : gnode, n : int) : int {\n"
+         "  if (n < 1) { 0 } else { ping(" + Rotated + "q, n - 1) }\n"
+         "}\n"
+         "def main() : int { " + Lets + "let q = new gnode(); ping(" +
+         Args + "q, 3) }\n";
+}
+
+TEST(SummaryRuns, InvalidatedSccRerunsEachMemberForItsReport) {
+  // Few parameters: the SCC converges and the site is proven.
+  Pipeline Small = mustCompile(rotatingScc(3));
+  AnalysisReport RSmall = analyzeProgram(Small.Checked);
+  EXPECT_EQ(RSmall.SummaryInfo.Invalidated, 0u);
+  EXPECT_EQ(RSmall.SummaryInfo.ReportRuns, 0u);
+  ASSERT_EQ(RSmall.Sites.size(), 1u);
+  EXPECT_EQ(RSmall.Sites[0].Verdict, DisconnectVerdict::MustDisconnected);
+
+  // Many: the SCC hits the cap after runs whose summaries would still
+  // prove the site.
+  Pipeline P = mustCompile(rotatingScc(31));
+  AnalysisReport R = analyzeProgram(P.Checked);
+  EXPECT_EQ(R.SummaryInfo.RecursiveSccs, 1u);
+  ASSERT_EQ(R.SummaryInfo.Invalidated, 2u);
+  EXPECT_FALSE(R.Summaries.at(sym(P, "ping")).Valid);
+  EXPECT_FALSE(R.Summaries.at(sym(P, "pong")).Valid);
+  // One report-only run per member of the invalidated SCC, under the
+  // signature havoc the invalid entries mean: the site is unknown.
+  EXPECT_EQ(R.SummaryInfo.ReportRuns, 2u);
+  ASSERT_EQ(R.Sites.size(), 1u);
+  EXPECT_EQ(R.Sites[0].Function, sym(P, "ping"));
+  EXPECT_EQ(R.Sites[0].Verdict, DisconnectVerdict::Unknown);
+
+  // Havoc at every call is the intra-procedural report.
+  AnalysisOptions Intra;
+  Intra.Interprocedural = false;
+  AnalysisReport RIntra = analyzeProgram(P.Checked, Intra);
+  EXPECT_EQ(renderDiags(R.Diags, "scc.fls"),
+            renderDiags(RIntra.Diags, "scc.fls"));
+
+  // Without reports to fill, nothing runs twice.
+  SummaryStats Stats;
+  computeSummaries(P.Checked, &Stats);
+  EXPECT_EQ(Stats.Invalidated, 2u);
+  EXPECT_EQ(Stats.ReportRuns, 0u);
 }
 
 //===----------------------------------------------------------------------===//

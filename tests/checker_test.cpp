@@ -11,7 +11,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Liveness.h"
 #include "driver/Driver.h"
+#include "parser/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -70,6 +72,65 @@ TEST(Checker, BitTrieChecks) {
 TEST(Checker, ExtrasCheck) {
   Pipeline P = compileOk(programs::Extras);
   ASSERT_NE(P.Prog, nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// Liveness sets (the §5.1 oracle's input)
+//===----------------------------------------------------------------------===//
+
+TEST(Liveness, UseSetsStaySortedAndDistinct) {
+  Symbol A{1}, B{2}, C{3}, D{4}, F{9};
+  UseSet X;
+  X.addVar(C);
+  X.addVar(A);
+  X.addVar(C);
+  X.addField(C, F);
+  UseSet Y;
+  Y.addVar(D);
+  Y.addVar(B);
+  Y.addVar(A);
+  Y.addField(A, F);
+  Y.addField(C, F);
+  X.merge(Y);
+  EXPECT_EQ(X.Vars, (std::vector<Symbol>{A, B, C, D}));
+  EXPECT_EQ(X.FieldUses,
+            (std::vector<std::pair<Symbol, Symbol>>{{A, F}, {C, F}}));
+  EXPECT_TRUE(X.usesField(C, F));
+  EXPECT_FALSE(X.usesField(B, F));
+  X.eraseVar(B);
+  X.eraseVar(B);
+  EXPECT_EQ(X.Vars, (std::vector<Symbol>{A, C, D}));
+  EXPECT_FALSE(X.usesVar(B));
+  EXPECT_TRUE(X.usesVar(D));
+}
+
+TEST(Liveness, UseCacheComputesPerBodyAndSurvivesClear) {
+  DiagnosticEngine Diags;
+  auto P = parseProgram(R"(
+struct s { f : s; }
+def g(x : s) : int { let y = x.f; y.f = x; 0 }
+def h(z : s) : int { z.f = z; 1 }
+)",
+                        Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.renderAll();
+  Symbol X = P->Names.intern("x"), Y = P->Names.intern("y"),
+         Z = P->Names.intern("z"), F = P->Names.intern("f");
+  UseCache Cache(*P);
+  for (int Round = 0; Round < 2; ++Round) {
+    Cache.clear();
+    const UseSet &G = Cache.uses(*P->Functions[0].Body);
+    // The let-bound y is dropped from the variables, not from the slots.
+    EXPECT_EQ(G.Vars, (std::vector<Symbol>{X}));
+    EXPECT_TRUE(G.usesField(X, F));
+    EXPECT_TRUE(G.usesField(Y, F));
+    // Same node, same set.
+    EXPECT_EQ(&G, &Cache.uses(*P->Functions[0].Body));
+    Cache.clear();
+    const UseSet &H = Cache.uses(*P->Functions[1].Body);
+    EXPECT_EQ(H.Vars, (std::vector<Symbol>{Z}));
+    EXPECT_EQ(H.FieldUses,
+              (std::vector<std::pair<Symbol, Symbol>>{{Z, F}}));
+  }
 }
 
 TEST(Checker, Fig4BrokenRemoveTailRejected) {

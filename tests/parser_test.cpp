@@ -174,6 +174,55 @@ TEST(Parser, ErrorsAreReported) {
   EXPECT_TRUE(Diags3.hasErrors());
 }
 
+TEST(FunctionIndex, FindsEveryParsedFunction) {
+  DiagnosticEngine Diags;
+  auto P = parseProgram(R"(
+def a() : int { b() }
+def b() : int { c() }
+def c() : int { 1 }
+)",
+                        Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.renderAll();
+  ASSERT_EQ(P->Functions.size(), 3u);
+  for (uint32_t I = 0; I < P->Functions.size(); ++I) {
+    Symbol Name = P->Functions[I].Name;
+    EXPECT_EQ(P->findFunction(Name), &P->Functions[I]);
+    EXPECT_EQ(P->functionIndex(Name), I);
+  }
+}
+
+TEST(FunctionIndex, DuplicateNameFindsFirstDeclaration) {
+  // The resolver rejects the duplicate; the lookup it uses to do so must
+  // still answer with the first declaration.
+  DiagnosticEngine Diags;
+  auto P = parseProgram(R"(
+def f() : int { 1 }
+def g() : int { 2 }
+def f() : bool { true }
+)",
+                        Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.renderAll();
+  ASSERT_EQ(P->Functions.size(), 3u);
+  Symbol F = P->Names.intern("f");
+  EXPECT_EQ(P->findFunction(F), &P->Functions[0]);
+  EXPECT_EQ(P->functionIndex(F), 0u);
+}
+
+TEST(FunctionIndex, UnknownAndLaterSymbolsFindNothing) {
+  DiagnosticEngine Diags;
+  auto P = parseProgram("struct s { v : int; } def f(x : s) : int { x.v }",
+                        Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.renderAll();
+  // Interned while parsing, but not a function name.
+  EXPECT_EQ(P->findFunction(P->Names.intern("s")), nullptr);
+  EXPECT_EQ(P->findFunction(P->Names.intern("x")), nullptr);
+  // Interned after parsing: beyond the index.
+  Symbol Late = P->Names.intern("never_declared");
+  EXPECT_EQ(P->findFunction(Late), nullptr);
+  EXPECT_EQ(P->functionIndex(Late), Program::NoFunction);
+  EXPECT_EQ(P->findFunction(Symbol{}), nullptr);
+}
+
 TEST(Parser, MissingSemicolonDiagnosed) {
   DiagnosticEngine Diags;
   Interner Names;

@@ -20,7 +20,8 @@
 //    real traversals surface as `disconnect.traverse` spans;
 //  - tracing never changes results: a traced run matches an untraced one
 //    step for step;
-//  - an unwritable output path fails cleanly with a rendered error.
+//  - an unwritable output path fails cleanly with a rendered error;
+//  - buildArtifact times each compile stage as one span on one lane.
 //
 // Event-presence expectations are guarded on FEARLESS_TRACING_ENABLED so
 // the suite also passes in a -DFEARLESS_TRACE=OFF build, where the same
@@ -52,6 +53,7 @@ void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 
 #include "analysis/StaticDisconnect.h"
 #include "concurrency/ParallelExec.h"
+#include "driver/CompilePipeline.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -527,6 +529,36 @@ TEST(TraceExport, ParallelMergeIsValidJsonAcrossThreads) {
   EXPECT_TRUE(hasEvent(Doc, "chan.recv"));
   EXPECT_TRUE(hasEvent(Doc, "channels.closed"));
   EXPECT_TRUE(hasEvent(Doc, "finished"));
+#endif
+}
+
+TEST(TraceExport, BuildArtifactRecordsOneSpanPerStage) {
+  TraceSession Trace;
+  auto A = buildArtifact(programs::SllSuite, PipelineOptions{}, &Trace);
+  ASSERT_TRUE(A.hasValue()) << (A ? "" : A.error().render());
+
+  Json Doc;
+  validateChromeTrace(Trace.toChromeJson(), Doc);
+#if FEARLESS_TRACING_ENABLED
+  const char *Stages[] = {"pipeline.parse", "pipeline.check",
+                          "pipeline.verify", "pipeline.analyze",
+                          "vm.compile"};
+  double LastEnd = 0;
+  for (const char *Name : Stages) {
+    const Json *Span = nullptr;
+    for (const Json &E : Doc.at("traceEvents").Elems)
+      if (E.at("name").Str == Name && E.at("ph").Str == "X") {
+        EXPECT_EQ(Span, nullptr) << Name << " recorded twice";
+        Span = &E;
+      }
+    ASSERT_NE(Span, nullptr) << Name;
+    // In pipeline order, one after the other.
+    EXPECT_GE(Span->at("ts").Num, LastEnd) << Name;
+    LastEnd = Span->at("ts").Num + Span->at("dur").Num;
+  }
+  EXPECT_EQ(distinctTids(Doc), 1u); // all on the compiler lane
+#else
+  EXPECT_EQ(Doc.at("traceEvents").Elems.size(), 0u);
 #endif
 }
 

@@ -51,6 +51,11 @@ Checks, failing with a nonzero exit on the first class of drift found:
     the flag scan of check 3 plus the GLOSSARY link rule of check 10.
     The mc counters (mc_schedules_explored etc.) are covered by checks
     1-2 like any other RuntimeMetrics registration.
+12. Every span (a `ph` X row) in docs/OBSERVABILITY.md's trace event
+    reference is emitted somewhere: its name appears as a string literal
+    in a C++ source under src/ or tools/ (`mc.run` is recorded by
+    tools/fearlessc.cpp). The mirror of checks 1-2 for the trace
+    vocabulary: a renamed or deleted span cannot leave a ghost row.
 
 Run from anywhere: paths are resolved relative to the repo root. Wired
 into tools/ci.sh; `--self-test` exercises the extraction logic against
@@ -79,6 +84,8 @@ FEARLESSC_CPP = ROOT / "tools" / "fearlessc.cpp"
 FEARLESSD_CPP = ROOT / "tools" / "fearlessd.cpp"
 WIRE_CPP = ROOT / "src" / "server" / "Wire.cpp"
 FAULTINJECTOR_CPP = ROOT / "src" / "support" / "FaultInjector.cpp"
+# Where trace spans are recorded (check 12).
+SPAN_SOURCE_DIRS = (ROOT / "src", ROOT / "tools")
 
 # The forEach registration rows: Fn("counter_name", Value);
 COUNTER_RE = re.compile(r'Fn\("([a-z_]+)"')
@@ -104,6 +111,15 @@ POINT_LITERAL_RE = re.compile(r'"([a-z.]+)"')
 # inside the "Fault points" subsection of the robustness docs.
 FAULT_TABLE_HEADING = "### Fault points"
 FAULT_ROW_RE = re.compile(r"^\|\s*`([a-z.]+)`", re.MULTILINE)
+
+# A documented trace event: a row of the "Event reference" table whose
+# first cell names one or more events (`a` / `b`) and whose second cell
+# is the phase; spans are the X rows.
+EVENT_TABLE_HEADING = "### Event reference"
+EVENT_ROW_RE = re.compile(r"^\|([^|]*)\|\s*([A-Za-z])\s*\|", re.MULTILINE)
+EVENT_NAME_RE = re.compile(r"`([a-z_]+(?:\.[a-z_]+)*)`")
+# A dotted string literal in C++ source: a candidate span name.
+DOTTED_LITERAL_RE = re.compile(r'"([a-z_]+(?:\.[a-z_]+)+)"')
 
 # The wire-op vocabulary: the string literals of the OpNames array in
 # src/server/Wire.cpp (the `op` field values of fearless-wire-v1).
@@ -131,6 +147,23 @@ def extract_documented_counters(doc: str) -> set:
     end = doc.find("\n## ", start + len(GLOSSARY_HEADING))
     section = doc[start:] if end < 0 else doc[start:end]
     return set(GLOSSARY_ROW_RE.findall(section))
+
+
+def extract_documented_spans(doc: str) -> set:
+    start = doc.find(EVENT_TABLE_HEADING)
+    if start < 0:
+        return set()
+    end = doc.find("\n#", start + len(EVENT_TABLE_HEADING))
+    section = doc[start:] if end < 0 else doc[start:end]
+    spans = set()
+    for names, phase in EVENT_ROW_RE.findall(section):
+        if phase == "X":
+            spans.update(EVENT_NAME_RE.findall(names))
+    return spans
+
+
+def extract_dotted_literals(src: str) -> set:
+    return set(DOTTED_LITERAL_RE.findall(src))
 
 
 def extract_accepted_flags(cli_src: str) -> set:
@@ -248,6 +281,26 @@ def self_test() -> int:
         "heap.alloc",
     }
     assert extract_documented_fault_points("nothing") == set()
+
+    event_doc = (
+        "### Event reference\n"
+        "| Event | ph | Category | Arg | Emitted when |\n"
+        "|---|---|---|---|---|\n"
+        "| `machine.run` | X | machine | `steps` | a run |\n"
+        "| `finished` / `errored` | i | thread | — | outcome |\n"
+        "| `send.wait` / `recv.wait` | X | channel | — | waits |\n"
+        "\n## Next section\n"
+        "| `not.a.span` | X | - | - | other table |\n"
+    )
+    assert extract_documented_spans(event_doc) == {
+        "machine.run",
+        "send.wait",
+        "recv.wait",
+    }
+    assert extract_documented_spans("nothing") == set()
+    assert extract_dotted_literals(
+        'TraceSpan S(TB, "pipeline.parse", "pipeline"); "x" "a.b.c"'
+    ) == {"pipeline.parse", "a.b.c"}
 
     print("check_docs: self-test OK")
     return 0
@@ -470,6 +523,28 @@ def main() -> int:
             )
             failures += 1
 
+    # 12: every documented span is recorded somewhere.
+    emitted = set()
+    for base in SPAN_SOURCE_DIRS:
+        for path in sorted(base.rglob("*")):
+            if path.suffix in (".cpp", ".h"):
+                emitted |= extract_dotted_literals(path.read_text())
+    spans = extract_documented_spans(observability)
+    if not spans:
+        print(
+            "check_docs: docs/OBSERVABILITY.md has no span rows in its "
+            "trace event reference",
+            file=sys.stderr,
+        )
+        failures += 1
+    for name in sorted(spans - emitted):
+        print(
+            f"check_docs: docs/OBSERVABILITY.md documents span '{name}' "
+            f"but no source under src/ or tools/ records it",
+            file=sys.stderr,
+        )
+        failures += 1
+
     # 10: every handbook links the shared vocabulary.
     for doc_path in (README_MD, DESIGN_MD, LANGUAGE_MD, IMPLEMENTATION_MD,
                      ANALYSIS_MD, OBSERVABILITY_MD, SCHEDULER_MD, SERVER_MD,
@@ -491,7 +566,7 @@ def main() -> int:
         f"{len(accepted)} CLI flags consistent, "
         f"{len(points)} fault points documented, "
         f"{len(ops)} wire ops and {len(daemon_flags)} fearlessd flags "
-        f"documented)"
+        f"documented, {len(spans)} spans recorded)"
     )
     return 0
 

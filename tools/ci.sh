@@ -426,13 +426,17 @@ run_chaos_smoke "tsan" "$ROOT/build-tsan"
 # checkpoint restore. AddressSanitizer on the corpus smoke, runtime_test
 # (heaps across block boundaries, snapshot/restore) and mc_test
 # (checkpointed exploration) catches lifetime bugs the default pass
-# would miss.
+# would miss. The checker's use-set cache hands out references into
+# storage it recycles between functions, and the summary engine writes
+# reports through indices into a caller's vector: checker_test,
+# parser_test (the function index) and analysis_test cover those.
 echo "==> [asan] configure + build (FEARLESS_SANITIZE=address)"
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DFEARLESS_SANITIZE=address >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
-  --target fearlessc runtime_test mc_test
+  --target fearlessc runtime_test mc_test checker_test parser_test \
+  analysis_test
 run_corpus_smoke "asan" "$ROOT/build-asan"
-for t in runtime_test mc_test; do
+for t in runtime_test mc_test checker_test parser_test analysis_test; do
   echo "==> [asan] $t"
   "$ROOT/build-asan/tests/$t"
 done
