@@ -6,8 +6,15 @@
 //
 // Fearless concurrency (§7): threads exchange whole list segments over
 // send/recv. First on the deterministic abstract machine (with the
-// dynamic reservation checks on — they never fire), then on real OS
-// threads with the checks erased and zero per-object locking.
+// dynamic reservation checks on — they never fire), then on the task
+// scheduler's OS workers with the checks erased and zero per-object
+// locking.
+//
+// The relay shares the `sll` channel with the producer, so the ring
+// completes only under schedules where each list passes through the
+// relay; under others the consumer takes a producer's list directly and
+// the relay starves in recv<sll>. Seed 3 is one of the schedules that
+// completes (`fearlessc mc` finds a deadlocking one).
 //
 //===----------------------------------------------------------------------===//
 

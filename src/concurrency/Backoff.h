@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The supervision restart backoff shared by both executors (the M:N
-/// task scheduler and the legacy thread-per-spawn mode): capped
+/// The supervision restart backoff of the M:N task scheduler: capped
 /// exponential growth computed with *saturation*, plus a deterministic
 /// jitter drawn from (seed, thread index, attempt).
 ///

@@ -470,8 +470,8 @@ TaskScheduler::run(const std::vector<SpawnEntry> &Work, RunStats &Stats) {
     Wk.Thread = std::thread([this, WI] { workerLoop(WI); });
   }
 
-  // Completion / watchdog wait — the same two-stage escalation as the
-  // OS-thread mode. The scheduler mutex is released around the channel
+  // Completion / watchdog wait with two-stage escalation (soft cancel,
+  // then hard abort). The scheduler mutex is released around the channel
   // shutdown calls (the set mutex must always be taken first).
   {
     std::unique_lock<std::mutex> Lock(SchedM);

@@ -766,8 +766,10 @@ def reducer(count : int) : int {
   total
 }
 
-// Echo stage for ring pipelines: receive a list, add one element, pass
-// it on.
+// Echo stage: receive a list, add one element, pass it on. It shares
+// `sll` with the producers, so in a producer -> relay -> consumer ring
+// the consumer may take a producer's list directly under some
+// schedules, leaving the relay starved in recv<sll> (a deadlock).
 def relay(count : int) : unit {
   let i = 0;
   while (i < count) {

@@ -114,9 +114,8 @@ Expected<McReport> mc::explore(const MachineFactory &Factory,
   std::vector<size_t> Interacting;
 
   while (true) {
-    enum class End { Completed, FaultEnded, Clipped, Redundant };
+    enum class End { Completed, FaultEnded, Clipped, Redundant, OutOfBound };
     End EndKind = End::Completed;
-    bool CountPrune = false;
     std::optional<McCounterexample> Violation;
 
     while (true) {
@@ -171,23 +170,21 @@ Expected<McReport> mc::explore(const MachineFactory &Factory,
         for (uint32_t T : N.Enabled)
           if (!Opts.UseDpor || !ScheduleTree::isSleeping(N, T))
             Cands.push_back(T);
-        bool BoundClipped = false;
         if (Opts.PreemptionBound >= 0 &&
             Preempts >= Opts.PreemptionBound && Prev != UINT32_MAX &&
             ScheduleTree::isEnabled(N, Prev)) {
           // Budget spent: only the non-preemptive continuation may go
           // on. If it is asleep, the remaining continuations all need a
           // preemption — outside the bounded space.
-          if (std::find(Cands.begin(), Cands.end(), Prev) != Cands.end())
+          if (std::find(Cands.begin(), Cands.end(), Prev) != Cands.end()) {
             Cands.assign(1, Prev);
-          else {
-            Cands.clear();
-            BoundClipped = true;
+          } else {
+            EndKind = End::OutOfBound;
+            break;
           }
         }
         if (Cands.empty()) {
           EndKind = End::Redundant;
-          CountPrune = !BoundClipped;
           break;
         }
         Chosen = std::find(Cands.begin(), Cands.end(), Prev) != Cands.end()
@@ -312,20 +309,24 @@ Expected<McReport> mc::explore(const MachineFactory &Factory,
                     "schedule";
       break;
     case End::Redundant:
-      if (CountPrune)
-        ++Rep.SchedulesPruned;
+      ++Rep.SchedulesPruned;
+      break;
+    case End::OutOfBound:
+      ++Rep.SchedulesBoundClipped;
       break;
     }
 
     if (Opts.MaxSchedules && Rep.SchedulesExplored >= Opts.MaxSchedules) {
-      if (Tree.advance(Rep.SchedulesPruned)) {
+      if (Tree.advance(Opts.PreemptionBound, Rep.SchedulesPruned,
+                       Rep.SchedulesBoundClipped)) {
         Rep.Complete = false;
         Rep.Clipped = "schedule budget (--mc-schedules) stopped "
                       "exploration early";
       }
       break;
     }
-    if (!Tree.advance(Rep.SchedulesPruned))
+    if (!Tree.advance(Opts.PreemptionBound, Rep.SchedulesPruned,
+                      Rep.SchedulesBoundClipped))
       break;
 
     // Backtrack: the deepest node now names its next alternative.

@@ -51,8 +51,10 @@ struct McOptions {
   uint64_t MaxSchedules = 100000;
   /// Iterative context bounding (--mc-preemptions): max preemptive
   /// switches (away from a still-runnable thread) per schedule. < 0 =
-  /// unbounded. A bound turns the search into heuristic bug hunting —
-  /// coverage holds only for the bounded space.
+  /// unbounded. Applies to every branch: the first continuation of a new
+  /// turn and each backtrack alternative (race-detected or, in naive
+  /// mode, every enabled thread). A bound turns the search into
+  /// heuristic bug hunting — coverage holds only for the bounded space.
   int64_t PreemptionBound = -1;
   /// DPOR + sleep sets (--mc-dpor=off disables both: naive DFS over
   /// every interleaving, the bench baseline and the paranoia mode).
@@ -78,6 +80,9 @@ struct McReport {
   uint64_t SchedulesExplored = 0;
   /// Redundant branches retired by sleep sets without re-execution.
   uint64_t SchedulesPruned = 0;
+  /// Branches left unexplored because they need more preemptions than
+  /// McOptions::PreemptionBound allows (not redundant, so not pruned).
+  uint64_t SchedulesBoundClipped = 0;
   /// Completed schedules whose end state was fingerprinted.
   uint64_t StatesFingerprinted = 0;
   /// Steps executed: each schedule-tree edge once, since a restore

@@ -63,9 +63,9 @@ struct Schedule {
 Expected<MachineSummary> runSchedule(Machine &M, const Schedule &S);
 
 /// Reproduces Machine::run(\p Seed)'s interleaving decision-for-decision
-/// while recording the branching choices into \p Out, so a failing
-/// seed-sweep run can be re-run from a schedule file instead of hoping
-/// the seed logic never changes.
+/// while recording the branching choices into \p Out, so a seeded run
+/// can be re-run from a schedule file instead of hoping the seed logic
+/// never changes.
 Expected<MachineSummary> runRecording(Machine &M, uint64_t Seed,
                                       Schedule &Out);
 

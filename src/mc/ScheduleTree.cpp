@@ -44,14 +44,20 @@ Schedule ScheduleTree::prefixSchedule(size_t UpTo) const {
   return S;
 }
 
-bool ScheduleTree::advance(uint64_t &PrunedOut) {
+bool ScheduleTree::advance(int64_t PreemptionBound, uint64_t &PrunedOut,
+                           uint64_t &BoundClippedOut) {
   while (!Nodes.empty()) {
     ChoiceNode &N = Nodes.back();
     // Retire the branch just explored; its first action joins the sleep
     // entries shadowing later siblings.
     N.Done.push_back(N.Chosen);
     N.DoneRecords.push_back(N.Record);
-    // Next unexplored, awake backtrack candidate.
+    // The thread that ran the turn before this one: switching away from
+    // it while it is still enabled here costs a preemption.
+    uint32_t Prev = Nodes.size() >= 2 ? Nodes[Nodes.size() - 2].Chosen
+                                      : UINT32_MAX;
+    bool PrevEnabled = Prev != UINT32_MAX && isEnabled(N, Prev);
+    // Next unexplored, awake backtrack candidate within the bound.
     uint32_t Next = UINT32_MAX;
     for (uint32_t Q : N.Backtrack) {
       if (std::find(N.Done.begin(), N.Done.end(), Q) != N.Done.end())
@@ -68,6 +74,14 @@ bool ScheduleTree::advance(uint64_t &PrunedOut) {
         // stepped here — but Done marks it handled.)
         N.Done.push_back(Q);
         ++PrunedOut;
+        continue;
+      }
+      int64_t Cost = PrevEnabled && Q != Prev ? 1 : 0;
+      if (PreemptionBound >= 0 &&
+          N.PreemptsBefore + Cost > PreemptionBound) {
+        // Outside the bounded space: not redundant, just not explored.
+        N.Done.push_back(Q);
+        ++BoundClippedOut;
         continue;
       }
       Next = Q;

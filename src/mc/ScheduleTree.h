@@ -73,8 +73,12 @@ public:
   /// Retires the deepest node's current choice and advances to the next
   /// unexplored backtrack alternative, popping exhausted nodes. Returns
   /// false when the whole space is exhausted. Backtrack candidates that
-  /// are asleep are retired unexplored; \p PrunedOut counts them.
-  bool advance(uint64_t &PrunedOut);
+  /// are asleep are retired unexplored and counted in \p PrunedOut;
+  /// those whose switch would take the path past \p PreemptionBound
+  /// preemptions (< 0 = unbounded) are retired unexplored and counted in
+  /// \p BoundClippedOut.
+  bool advance(int64_t PreemptionBound, uint64_t &PrunedOut,
+               uint64_t &BoundClippedOut);
 };
 
 } // namespace mc

@@ -97,8 +97,8 @@ struct RuntimeMetrics {
   /// 1 when the watchdog had to abort the run.
   uint64_t WatchdogFired = 0;
 
-  // Task-scheduler counters (M:N executor only; zero under the legacy
-  // thread-per-spawn mode and the deterministic machine).
+  // Task-scheduler counters (ParallelExec only; zero under the
+  // deterministic machine).
   /// Language threads admitted to the task scheduler as green threads.
   uint64_t TasksSpawned = 0;
   /// Tasks taken from another worker's run queue.
@@ -120,7 +120,7 @@ struct RuntimeMetrics {
   /// supervision disabled).
   uint64_t FaultsEscalated = 0;
 
-  // Channel counters (real-thread executor only).
+  // Channel counters (ParallelExec only).
   uint64_t ChannelsCreated = 0;
   uint64_t ChannelSends = 0;
   uint64_t ChannelRecvs = 0;

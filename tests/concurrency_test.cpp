@@ -6,16 +6,16 @@
 //
 // §7: the concurrent configuration. Threads exchange items and whole list
 // segments over send/recv; under every explored interleaving, reservations
-// stay disjoint and sufficient (I1), results are schedule-independent, and
-// the real-thread executor produces the same answers with the dynamic
-// checks erased.
+// stay disjoint and sufficient (I1) — the type system promises that, not
+// deadlock freedom — and the real-thread executor produces the same
+// answers with the dynamic checks erased.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
 #include "concurrency/ParallelExec.h"
-#include "concurrency/Scheduler.h"
+#include "mc/Dpor.h"
 #include "runtime/Invariants.h"
 
 #include <gtest/gtest.h>
@@ -63,31 +63,39 @@ TEST(Concurrency, RelayRing) {
 }
 
 TEST(Concurrency, EveryScheduleIsReservationSafe) {
+  // The relay ring shares `sll` with the producer, so under some
+  // schedules the consumer takes a producer's list directly and the relay
+  // starves in recv<sll>: a deadlock, which the type system does not
+  // rule out. What it does rule out is a reservation violation on the
+  // way there: the §6 validators run at every step, and exploration
+  // stops at the first counterexample, which must be the deadlock.
   Pipeline P = mustCompile(programs::MessagePassing);
-  Expected<ScheduleReport> Report = exploreSchedules(
-      [&] {
-        auto M = std::make_unique<Machine>(P.Checked);
-        M->spawn(sym(P, "producer_lists"),
-                 {Value::intVal(3), Value::intVal(3)});
-        M->spawn(sym(P, "relay"), {Value::intVal(3)});
-        M->spawn(sym(P, "consumer_lists"), {Value::intVal(3)});
-        return M;
-      },
-      /*NumSeeds=*/25,
-      [&](const Machine &M,
-          const MachineSummary &Summary) -> std::optional<std::string> {
-        if (auto Problem = checkReservationsDisjoint(M))
-          return Problem;
-        if (auto Problem = checkStoredRefCounts(M.heap()))
-          return Problem;
-        // Schedule-independent result.
-        if (!(Summary.ThreadResults[2] == Value::intVal(3 * (3 + 1000))))
-          return "consumer result depends on the schedule";
-        return std::nullopt;
-      });
-  ASSERT_TRUE(Report.hasValue())
-      << (Report ? "" : Report.error().render());
-  EXPECT_EQ(Report->RunsExecuted, 25u);
+  mc::MachineFactory Factory = [&P] {
+    MachineOptions MO;
+    MO.StepValidator = [](const Machine &M) -> std::optional<std::string> {
+      if (auto Problem = checkReservationsDisjoint(M))
+        return Problem;
+      return checkStoredRefCounts(M.heap());
+    };
+    auto M = std::make_unique<Machine>(P.Checked, MO);
+    M->spawn(sym(P, "producer_lists"), {Value::intVal(3), Value::intVal(3)});
+    M->spawn(sym(P, "relay"), {Value::intVal(3)});
+    M->spawn(sym(P, "consumer_lists"), {Value::intVal(3)});
+    return M;
+  };
+  Expected<mc::McReport> Rep = mc::explore(Factory, mc::McOptions{});
+  ASSERT_TRUE(Rep.hasValue()) << (Rep ? "" : Rep.error().render());
+  ASSERT_TRUE(Rep->Counterexample.has_value());
+  const mc::McCounterexample &CE = *Rep->Counterexample;
+  EXPECT_EQ(CE.Reason.rfind("deadlock", 0), 0u) << CE.Reason;
+  EXPECT_NE(CE.Reason.find("blocked in recv<sll>"), std::string::npos)
+      << CE.Reason;
+
+  // The counterexample replays to the same deadlock.
+  std::unique_ptr<Machine> M = Factory();
+  Expected<MachineSummary> R = mc::runSchedule(*M, CE.Sched);
+  ASSERT_FALSE(R.hasValue());
+  EXPECT_EQ(R.error().Message, CE.Reason);
 }
 
 TEST(Concurrency, ReservationsDisjointMidRun) {
@@ -233,11 +241,14 @@ TEST(Concurrency, LateCreatedChannelsAreBornClosed) {
   S.registerThreads(1);
   S.threadFinished(); // quiescent: clean shutdown
   Value V;
-  EXPECT_EQ(S.channelFor(Type::intTy()).recv(V), RecvResult::Closed);
+  ChannelWaiter W;
+  EXPECT_EQ(S.channelFor(Type::intTy()).recvOrPark(V, W),
+            RecvAttempt::Closed);
 
   ChannelSet S2;
   S2.abortAll();
-  EXPECT_EQ(S2.channelFor(Type::boolTy()).recv(V), RecvResult::Aborted);
+  EXPECT_EQ(S2.channelFor(Type::boolTy()).recvOrPark(V, W),
+            RecvAttempt::Aborted);
 }
 
 TEST(Concurrency, ClosedChannelDrainsBeforeStopping) {
@@ -250,11 +261,12 @@ TEST(Concurrency, ClosedChannelDrainsBeforeStopping) {
   C.send(Value::intVal(2));
   S.closeAll();
   Value V;
-  ASSERT_EQ(C.recv(V), RecvResult::Ok);
+  ChannelWaiter W;
+  ASSERT_EQ(C.recvOrPark(V, W), RecvAttempt::Got);
   EXPECT_EQ(V, Value::intVal(1));
-  ASSERT_EQ(C.recv(V), RecvResult::Ok);
+  ASSERT_EQ(C.recvOrPark(V, W), RecvAttempt::Got);
   EXPECT_EQ(V, Value::intVal(2));
-  EXPECT_EQ(C.recv(V), RecvResult::Closed);
+  EXPECT_EQ(C.recvOrPark(V, W), RecvAttempt::Closed);
 }
 
 TEST(Concurrency, AbortedChannelDiscardsQueuedValues) {
@@ -264,7 +276,8 @@ TEST(Concurrency, AbortedChannelDiscardsQueuedValues) {
   C.send(Value::intVal(1));
   S.abortAll();
   Value V;
-  EXPECT_EQ(C.recv(V), RecvResult::Aborted);
+  ChannelWaiter W;
+  EXPECT_EQ(C.recvOrPark(V, W), RecvAttempt::Aborted);
   // Sends into an aborted run are dropped, not queued.
   C.send(Value::intVal(2));
   EXPECT_EQ(C.sizeApprox(), 0u);

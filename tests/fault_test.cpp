@@ -576,16 +576,17 @@ TEST(Watchdog, DoesNotFireJustUnderBudget) {
 
 TEST(Shutdown, ChannelCreatedAfterAbortIsBornAborted) {
   // Regression: a channel materialized after abortAll() must be born in
-  // the aborted state — recv returns immediately (no block), send drops.
+  // the aborted state — recv returns at once (no park), send drops.
   ChannelSet S;
   S.registerThreads(2);
   S.abortAll();
   ValueChannel &C = S.channelFor(Type::intTy()); // created post-abort
   Value V;
-  EXPECT_EQ(C.recv(V), RecvResult::Aborted); // immediate, no deadlock
-  C.send(Value::intVal(1));                  // dropped, not queued
+  ChannelWaiter W;
+  EXPECT_EQ(C.recvOrPark(V, W), RecvAttempt::Aborted); // never parks
+  C.send(Value::intVal(1));                             // dropped
   EXPECT_EQ(C.sizeApprox(), 0u);
-  EXPECT_EQ(C.recv(V), RecvResult::Aborted);
+  EXPECT_EQ(C.recvOrPark(V, W), RecvAttempt::Aborted);
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,7 +14,6 @@
 
 #include "TestUtil.h"
 
-#include "concurrency/Scheduler.h"
 #include "driver/CompilePipeline.h"
 #include "mc/Dpor.h"
 #include "mc/Replay.h"
@@ -114,21 +113,34 @@ TEST(Mc, DporExploresFarFewerSchedulesThanNaive) {
 }
 
 TEST(Mc, PreemptionBoundRestrictsTheSpace) {
+  // The bound applies to backtrack alternatives too, not only to a new
+  // turn's first continuation: bound 0 must explore strictly fewer
+  // schedules than the unbounded search, in DPOR and in naive mode, and
+  // count what it left out as bound-clipped rather than pruned.
   Pipeline P = mustCompile(programs::MessagePassing);
-  mc::McOptions Unbounded;
-  Unbounded.MaxSchedules = 0;
-  mc::McOptions Bounded = Unbounded;
-  Bounded.PreemptionBound = 0;
-  Expected<mc::McReport> RU =
-      mc::explore(pipelineFactory(P, 2), Unbounded);
-  Expected<mc::McReport> RB =
-      mc::explore(pipelineFactory(P, 2), Bounded);
-  ASSERT_TRUE(RU.hasValue()) << (RU ? "" : RU.error().render());
-  ASSERT_TRUE(RB.hasValue()) << (RB ? "" : RB.error().render());
-  EXPECT_FALSE(RB->Counterexample.has_value())
-      << RB->Counterexample->Reason;
-  EXPECT_LE(RB->SchedulesExplored, RU->SchedulesExplored);
-  EXPECT_GE(RB->SchedulesExplored, 1u);
+  for (bool Dpor : {true, false}) {
+    const char *Mode = Dpor ? "dpor" : "naive";
+    mc::McOptions Unbounded;
+    Unbounded.UseDpor = Dpor;
+    Unbounded.MaxSchedules = 500;
+    mc::McOptions Bounded = Unbounded;
+    Bounded.PreemptionBound = 0;
+    Expected<mc::McReport> RU =
+        mc::explore(pipelineFactory(P, 2), Unbounded);
+    Expected<mc::McReport> RB =
+        mc::explore(pipelineFactory(P, 2), Bounded);
+    ASSERT_TRUE(RU.hasValue()) << (RU ? "" : RU.error().render());
+    ASSERT_TRUE(RB.hasValue()) << (RB ? "" : RB.error().render());
+    EXPECT_FALSE(RB->Counterexample.has_value())
+        << Mode << ": " << RB->Counterexample->Reason;
+    EXPECT_TRUE(RB->Complete) << Mode << ": " << RB->Clipped;
+    EXPECT_GE(RB->SchedulesExplored, 1u) << Mode;
+    EXPECT_LT(RB->SchedulesExplored, RU->SchedulesExplored) << Mode;
+    EXPECT_GT(RB->SchedulesBoundClipped, 0u) << Mode;
+    EXPECT_EQ(RU->SchedulesBoundClipped, 0u) << Mode;
+    if (!Dpor)
+      EXPECT_EQ(RB->SchedulesPruned, 0u) << Mode;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -566,42 +578,6 @@ TEST(Mc, MismatchedScheduleDiagnosesCleanly) {
   ASSERT_FALSE(R2.hasValue());
   EXPECT_NE(R2.error().Message.find("not runnable"), std::string::npos)
       << R2.error().Message;
-}
-
-//===----------------------------------------------------------------------===//
-// exploreSchedules integration (satellite: failures ship a schedule)
-//===----------------------------------------------------------------------===//
-
-TEST(Mc, ExploreSchedulesFailureShipsAReplayableSchedule) {
-  Pipeline P = mustCompile(programs::MessagePassing);
-  Expected<ScheduleReport> Rep = exploreSchedules(
-      [&P]() {
-        auto M = std::make_unique<Machine>(P.Checked);
-        M->spawn(sym(P, "producer"), {Value::intVal(2)});
-        M->spawn(sym(P, "consumer"), {Value::intVal(2)});
-        return M;
-      },
-      3,
-      [](const Machine &, const MachineSummary &) {
-        return std::optional<std::string>("forced failure");
-      });
-  ASSERT_FALSE(Rep.hasValue());
-  const std::string &Msg = Rep.error().Message;
-  EXPECT_NE(Msg.find("schedule seed 0"), std::string::npos) << Msg;
-  EXPECT_NE(Msg.find("forced failure"), std::string::npos) << Msg;
-  ASSERT_NE(Msg.find("replayable schedule written to "),
-            std::string::npos)
-      << Msg;
-  // The advertised file exists, parses, and replays.
-  size_t At = Msg.find("written to ") + std::string("written to ").size();
-  std::string Path = Msg.substr(At, Msg.find(')', At) - At);
-  Expected<mc::Schedule> S = mc::Schedule::loadFile(Path);
-  ASSERT_TRUE(S.hasValue()) << S.error().Message;
-  auto M = std::make_unique<Machine>(P.Checked);
-  M->spawn(sym(P, "producer"), {Value::intVal(2)});
-  M->spawn(sym(P, "consumer"), {Value::intVal(2)});
-  EXPECT_TRUE(mc::runSchedule(*M, *S).hasValue());
-  std::remove(Path.c_str());
 }
 
 } // namespace

@@ -98,8 +98,11 @@ merged = {
     "benches": {},
 }
 for bench in benches:
+    # A -f filter that matches nothing in a binary leaves its output
+    # file empty: that binary contributes no entries.
     with open(f"{tmp}/{bench}.json") as f:
-        data = json.load(f)
+        text = f.read()
+    data = json.loads(text) if text.strip() else {}
     # Drop the noisy per-run context except the bits that affect
     # comparability; keep every benchmark entry (counters included).
     ctx = data.get("context", {})

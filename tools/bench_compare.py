@@ -122,6 +122,41 @@ def self_test():
         )
         f.flush()
         assert load(f.name) == {}
+
+    # A benchmark deleted between the two runs is reported as removed,
+    # never as a regression: the comparison still exits 0.
+    import contextlib
+    import io
+
+    def baseline_file(names):
+        f = tempfile.NamedTemporaryFile("w", suffix=".json")
+        json.dump(
+            {
+                "schema": "fearless-bench-v1",
+                "benches": {
+                    "b": {"benchmarks": [{"name": n, "cpu_time": 10.0}
+                                         for n in names]},
+                },
+            },
+            f,
+        )
+        f.flush()
+        return f
+
+    with baseline_file(["BM_Kept", "BM_Gone/64"]) as old, \
+            baseline_file(["BM_Kept"]) as new:
+        out = io.StringIO()
+        argv = sys.argv
+        sys.argv = ["bench_compare.py", old.name, new.name]
+        try:
+            with contextlib.redirect_stdout(out):
+                status = main()
+        finally:
+            sys.argv = argv
+        text = out.getvalue()
+        assert status == 0, text
+        assert "removed: only in baseline (1):\n  b/BM_Gone/64" in text, text
+        assert "0 regression(s)" in text, text
     print("bench_compare self-test: OK")
     return 0
 
@@ -193,11 +228,11 @@ def main():
     only_base = sorted(set(base) - set(cur))
     only_cur = sorted(set(cur) - set(base))
     if only_base:
-        print(f"\nonly in baseline ({len(only_base)}):")
+        print(f"\nremoved: only in baseline ({len(only_base)}):")
         for name in only_base:
             print(f"  {name}")
     if only_cur:
-        print(f"\nonly in current ({len(only_cur)}):")
+        print(f"\nnew: only in current ({len(only_cur)}):")
         for name in only_cur:
             print(f"  {name}")
     if skipped:

@@ -56,6 +56,11 @@ Checks, failing with a nonzero exit on the first class of drift found:
     in a C++ source under src/ or tools/ (`mc.run` is recorded by
     tools/fearlessc.cpp). The mirror of checks 1-2 for the trace
     vocabulary: a renamed or deleted span cannot leave a ghost row.
+13. Every benchmark name (`BM_...`) cited in docs/*.md, EXPERIMENTS.md,
+    DESIGN.md or README.md is registered by a `BENCHMARK(...)` in a
+    source under bench/. A name written as a prefix (`BM_Check_*`)
+    matches any registered name that starts with it. A deleted or
+    renamed benchmark cannot leave a ghost table row.
 
 Run from anywhere: paths are resolved relative to the repo root. Wired
 into tools/ci.sh; `--self-test` exercises the extraction logic against
@@ -86,6 +91,9 @@ WIRE_CPP = ROOT / "src" / "server" / "Wire.cpp"
 FAULTINJECTOR_CPP = ROOT / "src" / "support" / "FaultInjector.cpp"
 # Where trace spans are recorded (check 12).
 SPAN_SOURCE_DIRS = (ROOT / "src", ROOT / "tools")
+# Where benchmarks are registered, and the docs that cite them (check 13).
+BENCH_DIR = ROOT / "bench"
+EXPERIMENTS_MD = ROOT / "EXPERIMENTS.md"
 
 # The forEach registration rows: Fn("counter_name", Value);
 COUNTER_RE = re.compile(r'Fn\("([a-z_]+)"')
@@ -120,6 +128,11 @@ EVENT_ROW_RE = re.compile(r"^\|([^|]*)\|\s*([A-Za-z])\s*\|", re.MULTILINE)
 EVENT_NAME_RE = re.compile(r"`([a-z_]+(?:\.[a-z_]+)*)`")
 # A dotted string literal in C++ source: a candidate span name.
 DOTTED_LITERAL_RE = re.compile(r'"([a-z_]+(?:\.[a-z_]+)+)"')
+
+# A benchmark registration, and a benchmark name cited in prose or a
+# table; a trailing `*` makes the cited name a prefix.
+BENCH_REGISTRATION_RE = re.compile(r"\bBENCHMARK\(\s*(BM_\w+)")
+BENCH_CITATION_RE = re.compile(r"\b(BM_\w*)(\*?)")
 
 # The wire-op vocabulary: the string literals of the OpNames array in
 # src/server/Wire.cpp (the `op` field values of fearless-wire-v1).
@@ -164,6 +177,24 @@ def extract_documented_spans(doc: str) -> set:
 
 def extract_dotted_literals(src: str) -> set:
     return set(DOTTED_LITERAL_RE.findall(src))
+
+
+def extract_registered_benchmarks(src: str) -> set:
+    return set(BENCH_REGISTRATION_RE.findall(src))
+
+
+def unregistered_benchmarks(doc: str, registered: set) -> list:
+    """Cited benchmark names (`BM_Check_*` as a prefix) that match no
+    registered benchmark, in order of first citation."""
+    missing = []
+    for name, star in BENCH_CITATION_RE.findall(doc):
+        if star:
+            found = any(r.startswith(name) for r in registered)
+        else:
+            found = name in registered
+        if not found and name + star not in missing:
+            missing.append(name + star)
+    return missing
 
 
 def extract_accepted_flags(cli_src: str) -> set:
@@ -302,6 +333,26 @@ def self_test() -> int:
         'TraceSpan S(TB, "pipeline.parse", "pipeline"); "x" "a.b.c"'
     ) == {"pipeline.parse", "a.b.c"}
 
+    bench = (
+        "BENCHMARK(BM_FanIn)->Arg(64);\n"
+        "BENCHMARK( BM_Check_DllSuite);\n"
+        "// BM_NotRegistered is only mentioned\n"
+        "BENCHMARK_MAIN();\n"
+    )
+    registered = extract_registered_benchmarks(bench)
+    assert registered == {"BM_FanIn", "BM_Check_DllSuite"}
+    bench_doc = (
+        "| `BM_FanIn/256` | fan-in |\n"
+        "| `BM_FanInRetired` | a removed engine |\n"
+        "The `BM_Check_*` family and `BM_*` in general; `BM_Unify_*`.\n"
+        "`BM_FanInRetired` again.\n"
+    )
+    assert unregistered_benchmarks(bench_doc, registered) == [
+        "BM_FanInRetired",
+        "BM_Unify_*",
+    ]
+    assert unregistered_benchmarks("no benchmarks", registered) == []
+
     print("check_docs: self-test OK")
     return 0
 
@@ -315,7 +366,8 @@ def main() -> int:
 
     for path in (METRICS_CPP, OBSERVABILITY_MD, SCHEDULER_MD, README_MD,
                  IMPLEMENTATION_MD, ANALYSIS_MD, SERVER_MD, GLOSSARY_MD,
-                 LANGUAGE_MD, DESIGN_MD, MODELCHECK_MD, FEARLESSC_CPP,
+                 LANGUAGE_MD, DESIGN_MD, MODELCHECK_MD, EXPERIMENTS_MD,
+                 FEARLESSC_CPP,
                  FEARLESSD_CPP, WIRE_CPP, FAULTINJECTOR_CPP):
         if not path.exists():
             print(f"check_docs: missing {path.relative_to(ROOT)}",
@@ -545,6 +597,22 @@ def main() -> int:
         )
         failures += 1
 
+    # 13: every cited benchmark is registered under bench/.
+    registered = set()
+    for path in sorted(BENCH_DIR.rglob("*.cpp")):
+        registered |= extract_registered_benchmarks(path.read_text())
+    cited_docs = sorted((ROOT / "docs").glob("*.md")) + [
+        EXPERIMENTS_MD, DESIGN_MD, README_MD]
+    for doc_path in cited_docs:
+        for name in unregistered_benchmarks(doc_path.read_text(),
+                                            registered):
+            print(
+                f"check_docs: {doc_path.relative_to(ROOT)} cites benchmark "
+                f"'{name}' but no BENCHMARK(...) under bench/ registers it",
+                file=sys.stderr,
+            )
+            failures += 1
+
     # 10: every handbook links the shared vocabulary.
     for doc_path in (README_MD, DESIGN_MD, LANGUAGE_MD, IMPLEMENTATION_MD,
                      ANALYSIS_MD, OBSERVABILITY_MD, SCHEDULER_MD, SERVER_MD,
@@ -566,7 +634,8 @@ def main() -> int:
         f"{len(accepted)} CLI flags consistent, "
         f"{len(points)} fault points documented, "
         f"{len(ops)} wire ops and {len(daemon_flags)} fearlessd flags "
-        f"documented, {len(spans)} spans recorded)"
+        f"documented, {len(spans)} spans recorded, "
+        f"{len(registered)} benchmarks registered)"
     )
     return 0
 

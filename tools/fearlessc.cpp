@@ -685,6 +685,9 @@ int cmdMc(const char *Path, const char *Fn,
               static_cast<unsigned long long>(Rep->StatesFingerprinted),
               static_cast<unsigned long long>(Rep->MaxDepthSeen),
               static_cast<unsigned long long>(Rep->StepsExecuted));
+  if (Rep->SchedulesBoundClipped)
+    std::printf("mc: preemption bound left %llu branch(es) unexplored\n",
+                static_cast<unsigned long long>(Rep->SchedulesBoundClipped));
   if (!Rep->Complete)
     std::printf("mc: warning: exploration incomplete: %s\n",
                 Rep->Clipped.c_str());
