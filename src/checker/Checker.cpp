@@ -47,14 +47,9 @@ public:
 
     CheckedFunction Out;
     Out.Sig = Sig;
-    std::unique_ptr<DerivStep> Root;
     if (Opts.EmitDerivations) {
-      Root = std::make_unique<DerivStep>();
-      Root->Rule = "T0-Function-Definition";
-      Root->Detail = P.Names.spelling(F.Name);
-      Root->E = F.Body.get();
-      Root->Before = Ctx;
-      CurrentSink = Root.get();
+      CurrentSink = D.open(RuleId::T0FunctionDefinition, F.Body.get(), Ctx);
+      D.step(CurrentSink).Detail = P.Names.spelling(F.Name);
     }
 
     Continuation Cont;
@@ -75,16 +70,14 @@ public:
 
     RegionId FinalResult = Res->Region;
     if (auto Err = conformTo(Ctx, FinalResult, Sig.Output,
-                             Sig.ResultRegion, Supply, P.Names,
-                             CurrentSink, &Stats.VirtualSteps, F.Loc);
+                             Sig.ResultRegion, Supply, P.Names, sink(),
+                             &Stats.VirtualSteps, F.Loc);
         !Err)
       return Failure{prefix(F, Err.error())};
 
-    if (Root) {
-      Root->After = Ctx;
-      Root->ResultRegion = Res->Region;
-      Root->ResultType = Res->Ty;
-      Out.Derivation = std::move(Root);
+    if (Opts.EmitDerivations) {
+      D.close(CurrentSink, Ctx, Res->Region, Res->Ty);
+      Out.Deriv = std::move(D);
     }
     Out.Stats = Stats;
     return Out;
@@ -97,10 +90,13 @@ private:
     return D;
   }
 
+  /// Where steps go: children of the step being checked.
+  DerivSink sink() {
+    return Opts.EmitDerivations ? DerivSink{&D, CurrentSink} : DerivSink{};
+  }
+
   VirtualEngine engine() {
-    return VirtualEngine(Ctx, Supply, P.Names,
-                         Opts.EmitDerivations ? CurrentSink : nullptr,
-                         &Stats.VirtualSteps);
+    return VirtualEngine(Ctx, Supply, P.Names, sink(), &Stats.VirtualSteps);
   }
 
   Expected<const StructInfo *> structOf(const Type &Ty, SourceLoc Loc) {
@@ -225,95 +221,95 @@ private:
   Expected<ExprResult> check(const Expr &E, const Continuation &Cont,
                              const Type *Want) {
     if (!Opts.EmitDerivations)
-      return checkImpl(E, Cont, Want, nullptr);
-    auto Node = std::make_unique<DerivStep>();
-    Node->E = &E;
-    Node->Before = Ctx;
-    DerivStep *Parent = CurrentSink;
-    CurrentSink = Node.get();
-    Expected<ExprResult> Res = checkImpl(E, Cont, Want, Node.get());
+      return checkImpl(E, Cont, Want, NoStep);
+    // The step is linked only once it succeeds; a failed one is dropped
+    // with its subtree (the steps opened after it).
+    Derivation::Mark Start = D.mark();
+    StepId Parent = CurrentSink;
+    StepId Node = D.open(RuleId::T0FunctionDefinition, &E, Ctx);
+    CurrentSink = Node;
+    Expected<ExprResult> Res = checkImpl(E, Cont, Want, Node);
     CurrentSink = Parent;
-    if (Res) {
-      Node->After = Ctx;
-      Node->ResultRegion = Res->Region;
-      Node->ResultType = Res->Ty;
-      if (Parent)
-        Parent->addChild(std::move(Node));
+    if (!Res) {
+      D.truncate(Start);
+      return Res;
     }
+    D.close(Node, Ctx, Res->Region, Res->Ty);
+    D.link(Parent, Node);
     return Res;
   }
 
   Expected<ExprResult> checkImpl(const Expr &E, const Continuation &Cont,
-                                 const Type *Want, DerivStep *Node) {
-    auto Rule = [&](const char *Name) {
-      if (Node)
-        Node->Rule = Name;
+                                 const Type *Want, StepId Node) {
+    auto Rule = [&](RuleId Id) {
+      if (Node != NoStep)
+        D.step(Node).Rule = Id;
     };
     switch (E.kind()) {
     case ExprKind::IntLit:
-      Rule("T-Int-Literal");
+      Rule(RuleId::TIntLiteral);
       return ExprResult{RegionId(), Type::intTy()};
     case ExprKind::BoolLit:
-      Rule("T-Bool-Literal");
+      Rule(RuleId::TBoolLiteral);
       return ExprResult{RegionId(), Type::boolTy()};
     case ExprKind::UnitLit:
-      Rule("T-Unit");
+      Rule(RuleId::TUnit);
       return ExprResult{RegionId(), Type::unitTy()};
     case ExprKind::VarRef:
-      Rule("T2-Variable-Ref");
+      Rule(RuleId::T2VariableRef);
       return checkVarRef(cast<VarRefExpr>(E));
     case ExprKind::FieldRef:
       return checkFieldRef(cast<FieldRefExpr>(E), Cont, Node);
     case ExprKind::AssignVar:
-      Rule("T8-Assign-Var");
+      Rule(RuleId::T8AssignVar);
       return checkAssignVar(cast<AssignVarExpr>(E), Cont);
     case ExprKind::AssignField:
       return checkAssignField(cast<AssignFieldExpr>(E), Cont, Node);
     case ExprKind::Let:
-      Rule("T-Let");
+      Rule(RuleId::TLet);
       return checkLet(cast<LetExpr>(E), Cont, Want);
     case ExprKind::LetSome:
-      Rule("T-Let-Some");
+      Rule(RuleId::TLetSome);
       return checkLetSome(cast<LetSomeExpr>(E), Cont, Want);
     case ExprKind::If:
-      Rule("T13-If-Statement");
+      Rule(RuleId::T13IfStatement);
       return checkIf(cast<IfExpr>(E), Cont, Want);
     case ExprKind::IfDisconnected:
-      Rule("T15-If-Disconnected");
+      Rule(RuleId::T15IfDisconnected);
       return checkIfDisconnected(cast<IfDisconnectedExpr>(E), Cont,
                                  Want);
     case ExprKind::While:
-      Rule("T-While");
+      Rule(RuleId::TWhile);
       return checkWhile(cast<WhileExpr>(E), Cont);
     case ExprKind::Seq:
-      Rule("T3-Sequence");
+      Rule(RuleId::T3Sequence);
       return checkSeq(cast<SeqExpr>(E), Cont, Want);
     case ExprKind::New:
-      Rule("T10-New-Loc");
+      Rule(RuleId::T10NewLoc);
       return checkNew(cast<NewExpr>(E), Cont);
     case ExprKind::SomeExpr:
-      Rule("T-Some");
+      Rule(RuleId::TSome);
       return checkSome(cast<SomeExpr>(E), Cont, Want);
     case ExprKind::NoneLit:
-      Rule("T-None");
+      Rule(RuleId::TNone);
       return checkNone(cast<NoneLitExpr>(E), Want);
     case ExprKind::IsNone:
-      Rule("T-Is-None");
+      Rule(RuleId::TIsNone);
       return checkIsNone(cast<IsNoneExpr>(E), Cont);
     case ExprKind::Send:
-      Rule("T16-Send");
+      Rule(RuleId::T16Send);
       return checkSend(cast<SendExpr>(E), Cont);
     case ExprKind::Recv:
-      Rule("T17-Receive");
+      Rule(RuleId::T17Receive);
       return checkRecv(cast<RecvExpr>(E));
     case ExprKind::Call:
-      Rule("T9-Function-Application");
+      Rule(RuleId::T9FunctionApplication);
       return checkCall(cast<CallExpr>(E), Cont);
     case ExprKind::Binary:
-      Rule("T-Binary");
+      Rule(RuleId::TBinary);
       return checkBinary(cast<BinaryExpr>(E), Cont);
     case ExprKind::Unary:
-      Rule("T-Unary");
+      Rule(RuleId::TUnary);
       return checkUnary(cast<UnaryExpr>(E), Cont);
     }
     return fail("internal: unhandled expression kind", E.loc());
@@ -338,10 +334,10 @@ private:
 
   Expected<ExprResult> checkFieldRef(const FieldRefExpr &E,
                                      const Continuation &Cont,
-                                     DerivStep *Node) {
-    auto Rule = [&](const char *Name) {
-      if (Node)
-        Node->Rule = Name;
+                                     StepId Node) {
+    auto Rule = [&](RuleId Id) {
+      if (Node != NoStep)
+        D.step(Node).Rule = Id;
     };
     // Determine the base type first (without committing effects for the
     // iso case: the base must be a variable there).
@@ -359,7 +355,7 @@ private:
                         "'",
                     E.loc());
       if (Field->Iso) {
-        Rule("T5-Isolated-Field-Reference");
+        Rule(RuleId::T5IsolatedFieldReference);
         VirtualEngine Engine = engine();
         Expected<RegionId> Target =
             Engine.ensureFieldTracked(Var->Name, E.Field, E.loc());
@@ -374,7 +370,7 @@ private:
                                                          : RegionId(),
                           Field->FieldType};
       }
-      Rule("T-Field-Reference");
+      Rule(RuleId::TFieldReference);
       return ExprResult{Field->FieldType.isRegionful() ? Base->Region
                                                        : RegionId(),
                         Field->FieldType};
@@ -398,7 +394,7 @@ private:
                       "' can only be accessed on a variable; bind '" +
                       printExpr(*E.Base, P.Names) + "' with 'let' first",
                   E.loc());
-    Rule("T-Field-Reference");
+    Rule(RuleId::TFieldReference);
     return ExprResult{Field->FieldType.isRegionful() ? Base->Region
                                                      : RegionId(),
                       Field->FieldType};
@@ -429,10 +425,10 @@ private:
 
   Expected<ExprResult> checkAssignField(const AssignFieldExpr &E,
                                         const Continuation &Cont,
-                                        DerivStep *Node) {
-    auto Rule = [&](const char *Name) {
-      if (Node)
-        Node->Rule = Name;
+                                        StepId Node) {
+    auto Rule = [&](RuleId Id) {
+      if (Node != NoStep)
+        D.step(Node).Rule = Id;
     };
     Expected<ExprResult> Base =
         check(*E.Base, Cont.withUses(Uses.uses(*E.Value)), nullptr);
@@ -457,7 +453,7 @@ private:
                   E.loc());
 
     if (Field->Iso) {
-      Rule("T7-Isolated-Field-Assignment");
+      Rule(RuleId::T7IsolatedFieldAssignment);
       const auto *Var = dyn_cast<VarRefExpr>(E.Base.get());
       if (!Var)
         return fail("iso field '" + P.Names.spelling(E.Field) +
@@ -477,7 +473,7 @@ private:
       return ExprResult{RegionId(), Type::unitTy()};
     }
 
-    Rule("T-Field-Assignment");
+    Rule(RuleId::TFieldAssignment);
     if (FieldType.isRegionful()) {
       // Intra-region reference: merge the value's region into the base's.
       VirtualEngine Engine = engine();
@@ -544,7 +540,7 @@ private:
     BranchState SomeBranch{std::move(Ctx),
                            SomeRes->Ty.isRegionful() ? SomeRes->Region
                                                      : RegionId(),
-                           CurrentSink};
+                           sink()};
 
     // None branch.
     Ctx = std::move(Snapshot);
@@ -562,7 +558,7 @@ private:
     BranchState NoneBranch{std::move(Ctx),
                            NoneRes->Ty.isRegionful() ? NoneRes->Region
                                                      : RegionId(),
-                           CurrentSink};
+                           sink()};
 
     return mergeBranches({std::move(SomeBranch), std::move(NoneBranch)},
                          SomeRes->Ty, Cont, E.loc());
@@ -590,9 +586,9 @@ private:
 
     if (!E.Else) {
       // Statement form: the then-value is discarded, result is unit.
-      BranchState ThenBranch{std::move(Ctx), RegionId(), CurrentSink};
+      BranchState ThenBranch{std::move(Ctx), RegionId(), sink()};
       Ctx = std::move(Snapshot);
-      BranchState ElseBranch{std::move(Ctx), RegionId(), CurrentSink};
+      BranchState ElseBranch{std::move(Ctx), RegionId(), sink()};
       return mergeBranches({std::move(ThenBranch), std::move(ElseBranch)},
                            Type::unitTy(), Cont, E.loc());
     }
@@ -600,7 +596,7 @@ private:
     BranchState ThenBranch{std::move(Ctx),
                            ThenRes->Ty.isRegionful() ? ThenRes->Region
                                                      : RegionId(),
-                           CurrentSink};
+                           sink()};
     Ctx = std::move(Snapshot);
     Expected<ExprResult> ElseRes = check(*E.Else, Cont, Want);
     if (!ElseRes)
@@ -613,7 +609,7 @@ private:
     BranchState ElseBranch{std::move(Ctx),
                            ElseRes->Ty.isRegionful() ? ElseRes->Region
                                                      : RegionId(),
-                           CurrentSink};
+                           sink()};
     return mergeBranches({std::move(ThenBranch), std::move(ElseBranch)},
                          ThenRes->Ty, Cont, E.loc());
   }
@@ -680,7 +676,7 @@ private:
     BranchState ThenBranch{std::move(Ctx),
                            ThenRes->Ty.isRegionful() ? ThenRes->Region
                                                      : RegionId(),
-                           CurrentSink};
+                           sink()};
 
     // Else branch: still connected; nothing changes.
     Ctx = std::move(Snapshot);
@@ -695,7 +691,7 @@ private:
     BranchState ElseBranch{std::move(Ctx),
                            ElseRes->Ty.isRegionful() ? ElseRes->Region
                                                      : RegionId(),
-                           CurrentSink};
+                           sink()};
     return mergeBranches({std::move(ThenBranch), std::move(ElseBranch)},
                          ThenRes->Ty, Cont, E.loc());
   }
@@ -710,14 +706,15 @@ private:
     for (size_t Iter = 0; Iter < Opts.MaxLoopIterations; ++Iter) {
       ++Stats.LoopIterations;
       Ctx = Invariant;
-      // Check into a scratch derivation; only the stable iteration is
-      // kept.
-      auto Scratch = std::make_unique<DerivStep>();
-      Scratch->Rule = "T-While-Body";
-      Scratch->Before = Ctx;
-      DerivStep *SavedSink = CurrentSink;
-      if (Opts.EmitDerivations)
-        CurrentSink = Scratch.get();
+      // Check into a scratch step; only the stable iteration is kept,
+      // and an unstable one is truncated away with its snapshots.
+      Derivation::Mark Start = D.mark();
+      StepId SavedSink = CurrentSink;
+      StepId Scratch = NoStep;
+      if (Opts.EmitDerivations) {
+        Scratch = D.open(RuleId::TWhileBody, nullptr, Ctx);
+        CurrentSink = Scratch;
+      }
 
       Expected<ExprResult> CondRes = check(*E.Cond, LoopCont, &BoolTy);
       if (!CondRes) {
@@ -744,9 +741,9 @@ private:
       dropUnreachableRegions(EntryCopy);
       if (equivalentUpToRenaming(BodyExit, RegionId(), EntryCopy,
                                  RegionId())) {
-        if (Opts.EmitDerivations && CurrentSink) {
-          Scratch->After = Ctx;
-          CurrentSink->addChild(std::move(Scratch));
+        if (Opts.EmitDerivations) {
+          D.close(Scratch, Ctx);
+          D.link(CurrentSink, Scratch);
         }
         Ctx = std::move(AfterCond);
         return ExprResult{RegionId(), Type::unitTy()};
@@ -754,10 +751,10 @@ private:
 
       // Widen: the new invariant is the meet of the entry and the body's
       // exit. Re-check from the weakened entry.
+      D.truncate(Start);
       std::vector<BranchState> States;
-      States.push_back(BranchState{std::move(EntryCopy), RegionId(),
-                                   nullptr});
-      States.push_back(BranchState{Ctx, RegionId(), nullptr});
+      States.push_back(BranchState{std::move(EntryCopy), RegionId(), {}});
+      States.push_back(BranchState{Ctx, RegionId(), {}});
       Expected<UnifyOutcome> Met = unifyBranches(
           std::move(States), Type::unitTy(), LoopCont,
           UnifyOptions{Opts.UseLivenessOracle, Opts.UnifySearchLimit},
@@ -975,10 +972,9 @@ private:
       }
     }
 
-    Expected<CallInstantiation> Inst = applySignature(
-        Ctx, Sig, ArgVars, Supply, P.Names,
-        Opts.EmitDerivations ? CurrentSink : nullptr, &Stats.VirtualSteps,
-        E.loc());
+    Expected<CallInstantiation> Inst =
+        applySignature(Ctx, Sig, ArgVars, Supply, P.Names, sink(),
+                       &Stats.VirtualSteps, E.loc());
     if (!Inst)
       return Inst.takeFailure();
     return ExprResult{Inst->ResultRegion, Sig.ReturnType};
@@ -1079,7 +1075,10 @@ private:
 
   Contexts Ctx;
   Type ReturnType;
-  DerivStep *CurrentSink = nullptr;
+  /// This function's derivation; CurrentSink is the step that new steps
+  /// become children of.
+  Derivation D;
+  StepId CurrentSink = NoStep;
   CheckStats Stats;
 };
 

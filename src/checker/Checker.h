@@ -27,6 +27,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 
 namespace fearless {
 
@@ -51,7 +52,7 @@ struct CheckStats {
 /// One successfully checked function.
 struct CheckedFunction {
   FnSignature Sig;
-  std::unique_ptr<DerivStep> Derivation; ///< Null if not emitted.
+  std::optional<Derivation> Deriv; ///< Empty if not emitted.
   CheckStats Stats;
 };
 

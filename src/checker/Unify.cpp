@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <set>
 
 using namespace fearless;
@@ -121,7 +122,7 @@ ExpectedVoid fearless::conformTo(Contexts &Current,
                                  const Contexts &Target,
                                  RegionId TargetResult,
                                  RegionSupply &Supply,
-                                 const Interner &Names, DerivStep *Sink,
+                                 const Interner &Names, DerivSink Sink,
                                  size_t *StepCounter, SourceLoc Loc) {
   VirtualEngine Engine(Current, Supply, Names, Sink, StepCounter);
 
@@ -640,7 +641,7 @@ Expected<UnifyOutcome> fearless::unifyBranches(
       Contexts Copy = B.Ctx;
       RegionId CopyResult = B.ResultRegion;
       auto Err = conformTo(Copy, CopyResult, M.Ctx, M.ResultRegion,
-                           Supply, Names, nullptr, nullptr, Loc);
+                           Supply, Names, DerivSink{}, nullptr, Loc);
       if (!Err) {
         if (Error)
           *Error = Err.error().Message;

@@ -37,9 +37,10 @@ namespace fearless {
 /// Applies V-rules to a Contexts, recording derivation steps.
 class VirtualEngine {
 public:
-  /// \p Sink may be null (no derivation recording, used by benchmarks).
+  /// \p Sink may be empty (no derivation recording: trial conformance,
+  /// benchmarks).
   VirtualEngine(Contexts &Ctx, RegionSupply &Supply, const Interner &Names,
-                DerivStep *Sink, size_t *StepCounter = nullptr)
+                DerivSink Sink, size_t *StepCounter = nullptr)
       : Ctx(Ctx), Supply(Supply), Names(Names), Sink(Sink),
         StepCounter(StepCounter) {}
 
@@ -113,28 +114,27 @@ private:
   ExpectedVoid releaseRegionImpl(RegionId R, SourceLoc Loc,
                                  std::vector<RegionId> &InProgress);
 
-  /// Records a derivation step with rule \p Rule around mutation \p Fn.
-  template <typename Fn>
-  void record(const char *Rule, std::string Detail, Fn &&Mutate) {
+  /// Records a derivation step with rule \p Rule around mutation
+  /// \p Mutate; \p Detail renders the instantiation, and runs only when
+  /// the step is recorded.
+  template <typename DetailFn, typename MutateFn>
+  void record(RuleId Rule, DetailFn &&Detail, MutateFn &&Mutate) {
     if (StepCounter)
       ++*StepCounter;
     if (!Sink) {
       Mutate();
       return;
     }
-    auto Step = std::make_unique<DerivStep>();
-    Step->Rule = Rule;
-    Step->Detail = std::move(Detail);
-    Step->Before = Ctx;
+    SnapshotId Before = Sink.Deriv->record(Ctx);
     Mutate();
-    Step->After = Ctx;
-    Sink->addChild(std::move(Step));
+    SnapshotId After = Sink.Deriv->record(Ctx);
+    Sink.Deriv->addVirtual(Sink.Parent, Rule, Detail(), Before, After);
   }
 
   Contexts &Ctx;
   RegionSupply &Supply;
   const Interner &Names;
-  DerivStep *Sink;
+  DerivSink Sink;
   size_t *StepCounter;
 };
 

@@ -6,9 +6,10 @@
 
 #include "lexer/Lexer.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
-#include <cctype>
-#include <unordered_map>
+#include <iterator>
 
 using namespace fearless;
 
@@ -128,35 +129,79 @@ const char *fearless::tokenKindName(TokenKind Kind) {
 
 namespace {
 
-const std::unordered_map<std::string_view, TokenKind> &keywordTable() {
-  static const std::unordered_map<std::string_view, TokenKind> Table = {
-      {"struct", TokenKind::KwStruct},
-      {"def", TokenKind::KwDef},
-      {"let", TokenKind::KwLet},
-      {"some", TokenKind::KwSome},
-      {"none", TokenKind::KwNone},
-      {"in", TokenKind::KwIn},
-      {"else", TokenKind::KwElse},
-      {"if", TokenKind::KwIf},
-      {"while", TokenKind::KwWhile},
-      {"disconnected", TokenKind::KwDisconnected},
-      {"new", TokenKind::KwNew},
-      {"iso", TokenKind::KwIso},
-      {"unit", TokenKind::KwUnit},
-      {"int", TokenKind::KwInt},
-      {"bool", TokenKind::KwBool},
-      {"true", TokenKind::KwTrue},
-      {"false", TokenKind::KwFalse},
-      {"is_none", TokenKind::KwIsNone},
-      {"send", TokenKind::KwSend},
-      {"recv", TokenKind::KwRecv},
-      {"consumes", TokenKind::KwConsumes},
-      {"pinned", TokenKind::KwPinned},
-      {"after", TokenKind::KwAfter},
-      {"before", TokenKind::KwBefore},
-      {"result", TokenKind::KwResult},
-  };
-  return Table;
+/// Keywords sorted by spelling, for binary search.
+constexpr std::pair<std::string_view, TokenKind> Keywords[] = {
+    {"after", TokenKind::KwAfter},
+    {"before", TokenKind::KwBefore},
+    {"bool", TokenKind::KwBool},
+    {"consumes", TokenKind::KwConsumes},
+    {"def", TokenKind::KwDef},
+    {"disconnected", TokenKind::KwDisconnected},
+    {"else", TokenKind::KwElse},
+    {"false", TokenKind::KwFalse},
+    {"if", TokenKind::KwIf},
+    {"in", TokenKind::KwIn},
+    {"int", TokenKind::KwInt},
+    {"is_none", TokenKind::KwIsNone},
+    {"iso", TokenKind::KwIso},
+    {"let", TokenKind::KwLet},
+    {"new", TokenKind::KwNew},
+    {"none", TokenKind::KwNone},
+    {"pinned", TokenKind::KwPinned},
+    {"recv", TokenKind::KwRecv},
+    {"result", TokenKind::KwResult},
+    {"send", TokenKind::KwSend},
+    {"some", TokenKind::KwSome},
+    {"struct", TokenKind::KwStruct},
+    {"true", TokenKind::KwTrue},
+    {"unit", TokenKind::KwUnit},
+    {"while", TokenKind::KwWhile},
+};
+static_assert(std::is_sorted(std::begin(Keywords), std::end(Keywords),
+                             [](const auto &A, const auto &B) {
+                               return A.first < B.first;
+                             }),
+              "keyword table must stay sorted");
+
+/// The keyword spelled \p Text, or Identifier.
+TokenKind keywordOrIdentifier(std::string_view Text) {
+  // Every keyword starts with a lowercase letter.
+  if (Text[0] < 'a' || Text[0] > 'z')
+    return TokenKind::Identifier;
+  auto It = std::lower_bound(
+      std::begin(Keywords), std::end(Keywords), Text,
+      [](const auto &Entry, std::string_view T) { return Entry.first < T; });
+  return It != std::end(Keywords) && It->first == Text
+             ? It->second
+             : TokenKind::Identifier;
+}
+
+/// Character classes, as bits of CharClass[c]. The source is treated as
+/// bytes in the "C" locale, as std::isalpha and friends did.
+enum : uint8_t {
+  IdentStart = 1, ///< [A-Za-z_]
+  Digit = 2,      ///< [0-9]
+  Space = 4,      ///< space, \t, \n, \v, \f, \r
+};
+
+constexpr std::array<uint8_t, 256> makeCharClasses() {
+  std::array<uint8_t, 256> Classes{};
+  for (int C = 'a'; C <= 'z'; ++C)
+    Classes[C] |= IdentStart;
+  for (int C = 'A'; C <= 'Z'; ++C)
+    Classes[C] |= IdentStart;
+  Classes['_'] |= IdentStart;
+  for (int C = '0'; C <= '9'; ++C)
+    Classes[C] |= Digit;
+  for (unsigned char C : {' ', '\t', '\n', '\v', '\f', '\r'})
+    Classes[C] |= Space;
+  return Classes;
+}
+
+constexpr std::array<uint8_t, 256> CharClass = makeCharClasses();
+
+bool is(char C, uint8_t Class) {
+  return CharClass[static_cast<unsigned char>(C)] & Class;
 }
 
 /// Streaming lexer over one source buffer.
@@ -199,7 +244,7 @@ private:
       if (atEnd())
         return;
       char C = peek();
-      if (std::isspace(static_cast<unsigned char>(C))) {
+      if (is(C, Space)) {
         advance();
         continue;
       }
@@ -225,20 +270,19 @@ private:
     size_t Start = Pos;
     char C = advance();
 
-    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-      while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                          peek() == '_'))
-        advance();
+    if (is(C, IdentStart)) {
+      // Identifiers hold no newline: advance the column once at the end.
+      while (!atEnd() && is(Source[Pos], IdentStart | Digit))
+        ++Pos;
+      Column += static_cast<uint32_t>(Pos - Start - 1);
       std::string_view Text = Source.substr(Start, Pos - Start);
-      auto It = keywordTable().find(Text);
-      TokenKind Kind =
-          It != keywordTable().end() ? It->second : TokenKind::Identifier;
-      return Token{Kind, Text, 0, Loc};
+      return Token{keywordOrIdentifier(Text), Text, 0, Loc};
     }
 
-    if (std::isdigit(static_cast<unsigned char>(C))) {
-      while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-        advance();
+    if (is(C, Digit)) {
+      while (!atEnd() && is(Source[Pos], Digit))
+        ++Pos;
+      Column += static_cast<uint32_t>(Pos - Start - 1);
       Token Tok = make(TokenKind::IntLiteral, Start, Loc);
       int64_t Value = 0;
       for (char Digit : Tok.Text) {

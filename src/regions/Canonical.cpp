@@ -14,7 +14,7 @@ using namespace fearless;
 void fearless::dropUnreachableRegions(Contexts &Ctx, RegionId ExtraRoot) {
   // Iterate to a fixpoint: dropping a region never makes another region
   // reachable, so a single pass over a recomputed reachable set suffices.
-  std::map<RegionId, bool> Reachable;
+  FlatMap<RegionId, bool> Reachable;
   for (const auto &[Region, Track] : Ctx.Heap.entries()) {
     (void)Track;
     Reachable[Region] = false;

@@ -136,15 +136,19 @@ bool HeapCtx::isFieldTarget(RegionId R) const {
 
 std::optional<std::string>
 fearless::checkWellFormed(const Contexts &Ctx, const Interner &Names) {
-  std::map<Symbol, RegionId> Seen;
-  for (const auto &[Region, Track] : Ctx.Heap.entries()) {
+  const HeapCtx::MapTy &Regions = Ctx.Heap.entries();
+  for (auto RegionIt = Regions.begin(); RegionIt != Regions.end();
+       ++RegionIt) {
+    const auto &[Region, Track] = *RegionIt;
     for (const auto &[Var, VTrack] : Track.Vars) {
       (void)VTrack;
-      if (Seen.count(Var))
-        return "variable '" + Names.spelling(Var) +
-               "' tracked in two regions (" + toString(Seen[Var]) +
-               " and " + toString(Region) + ")";
-      Seen[Var] = Region;
+      // The first earlier region tracking Var, if any (H holds a handful
+      // of regions, so a scan beats building a seen-set).
+      for (auto Earlier = Regions.begin(); Earlier != RegionIt; ++Earlier)
+        if (Earlier->second.Vars.count(Var))
+          return "variable '" + Names.spelling(Var) +
+                 "' tracked in two regions (" + toString(Earlier->first) +
+                 " and " + toString(Region) + ")";
       const VarBinding *Binding = Ctx.Vars.lookup(Var);
       if (!Binding)
         return "tracked variable '" + Names.spelling(Var) +

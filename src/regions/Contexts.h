@@ -28,13 +28,84 @@
 #include "ast/Types.h"
 #include "support/Interner.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace fearless {
+
+/// A map kept as a vector of (key, value) pairs sorted by key: the
+/// contexts hold a handful of entries each, so a flat vector copies,
+/// compares and frees in one allocation where a node map takes one per
+/// entry. Iteration order is key order, as for std::map.
+///
+/// Unlike std::map, an insert moves the stored entries: a pointer or
+/// iterator into the map is invalidated by any later insert or erase.
+template <typename K, typename V> class FlatMap {
+public:
+  using value_type = std::pair<K, V>;
+  using iterator = typename std::vector<value_type>::iterator;
+  using const_iterator = typename std::vector<value_type>::const_iterator;
+
+  iterator begin() { return Items.begin(); }
+  iterator end() { return Items.end(); }
+  const_iterator begin() const { return Items.begin(); }
+  const_iterator end() const { return Items.end(); }
+  size_t size() const { return Items.size(); }
+  bool empty() const { return Items.empty(); }
+
+  iterator find(const K &Key) { return findIn(Items, Key); }
+  const_iterator find(const K &Key) const { return findIn(Items, Key); }
+  size_t count(const K &Key) const { return find(Key) != end() ? 1 : 0; }
+
+  /// Inserts (Key, Value) unless Key is present; like std::map::emplace.
+  std::pair<iterator, bool> emplace(const K &Key, V Value) {
+    auto It = lowerBound(Items, Key);
+    if (It != Items.end() && It->first == Key)
+      return {It, false};
+    return {Items.emplace(It, Key, std::move(Value)), true};
+  }
+  /// The value at \p Key, which must be present.
+  V &at(const K &Key) {
+    auto It = find(Key);
+    assert(It != end() && "FlatMap::at: key not present");
+    return It->second;
+  }
+  const V &at(const K &Key) const {
+    auto It = find(Key);
+    assert(It != end() && "FlatMap::at: key not present");
+    return It->second;
+  }
+  /// The value at \p Key, default-constructed and inserted if absent.
+  V &operator[](const K &Key) { return emplace(Key, V()).first->second; }
+
+  size_t erase(const K &Key) {
+    auto It = find(Key);
+    if (It == Items.end())
+      return 0;
+    Items.erase(It);
+    return 1;
+  }
+
+  bool operator==(const FlatMap &) const = default;
+
+private:
+  template <typename Vec> static auto lowerBound(Vec &Items, const K &Key) {
+    return std::lower_bound(
+        Items.begin(), Items.end(), Key,
+        [](const value_type &Item, const K &K2) { return Item.first < K2; });
+  }
+  template <typename Vec> static auto findIn(Vec &Items, const K &Key) {
+    auto It = lowerBound(Items, Key);
+    return It != Items.end() && It->first == Key ? It : Items.end();
+  }
+
+  std::vector<value_type> Items;
+};
 
 /// A compile-time region name. Id 0 is invalid; region-less bindings
 /// (primitives) use RegionId::none().
@@ -76,7 +147,7 @@ struct VarBinding {
 /// printing and canonicalization are deterministic.
 class VarCtx {
 public:
-  using MapTy = std::map<Symbol, VarBinding>;
+  using MapTy = FlatMap<Symbol, VarBinding>;
 
   bool contains(Symbol Var) const { return Vars.count(Var) != 0; }
   const VarBinding *lookup(Symbol Var) const;
@@ -106,7 +177,7 @@ struct VarTrack {
   /// no longer present in H denotes an *invalidated* field (e.g. after the
   /// region split of `if disconnected`): the field must be reassigned
   /// before it can be read or retracted.
-  std::map<Symbol, RegionId> Fields;
+  FlatMap<Symbol, RegionId> Fields;
 
   bool operator==(const VarTrack &) const = default;
 };
@@ -114,16 +185,18 @@ struct VarTrack {
 /// Tracking context for one region: r°⟨X⟩.
 struct RegionTrack {
   bool Pinned = false;
-  std::map<Symbol, VarTrack> Vars;
+  FlatMap<Symbol, VarTrack> Vars;
 
   bool empty() const { return Vars.empty(); }
   bool operator==(const RegionTrack &) const = default;
 };
 
 /// H: an ordered map from region capabilities to tracking contexts.
+/// lookup() and trackedVar() return pointers into flat storage: they are
+/// invalidated by the next region (or variable) insert or erase.
 class HeapCtx {
 public:
-  using MapTy = std::map<RegionId, RegionTrack>;
+  using MapTy = FlatMap<RegionId, RegionTrack>;
 
   bool hasRegion(RegionId R) const { return Regions.count(R) != 0; }
   const RegionTrack *lookup(RegionId R) const;
@@ -184,7 +257,8 @@ struct Contexts {
 /// - no variable is tracked in more than one region;
 /// - every tracked variable is bound in Γ, to the region tracking it;
 /// - every tracked variable's type is a struct type.
-/// Returns an explanatory message on failure.
+/// Returns an explanatory message on failure; allocates nothing on
+/// success.
 std::optional<std::string> checkWellFormed(const Contexts &Ctx,
                                            const Interner &Names);
 

@@ -22,14 +22,16 @@ public:
       : Program(Program), Fn(Fn), Names(Program.Prog->Names) {}
 
   Expected<VerifyStats> run() {
-    if (!Fn.Derivation)
+    if (!Fn.Deriv)
       return fail("function has no derivation to verify");
-    if (auto Err = verifyStep(*Fn.Derivation); !Err)
+    D = &*Fn.Deriv;
+    WellFormed.assign(D->snapshots().size(), false);
+    if (auto Err = verifyStep(D->root()); !Err)
       return Err.takeFailure();
     // The root's final context must conform to the declared output.
-    Contexts Final = Fn.Derivation->After;
+    Contexts Final = D->after(D->root());
     Contexts Output = Fn.Sig.Output;
-    RegionId FinalResult = Fn.Derivation->ResultRegion;
+    RegionId FinalResult = D->root().ResultRegion;
     dropUnreachableRegions(Final, FinalResult);
     dropUnreachableRegions(Output, Fn.Sig.ResultRegion);
     if (!equivalentUpToRenaming(Final, FinalResult, Output,
@@ -42,33 +44,59 @@ public:
   }
 
 private:
+  const Contexts &before(const DerivStep &Step) const {
+    return D->before(Step);
+  }
+  const Contexts &after(const DerivStep &Step) const {
+    return D->after(Step);
+  }
+  /// Before == After; steps that share one snapshot are equal at once.
+  bool unchanged(const DerivStep &Step) const {
+    return Step.Before == Step.After || before(Step) == after(Step);
+  }
+
+  /// Checks §4.3 well-formedness of snapshot \p Id the first time a step
+  /// refers to it; later steps sharing it reuse the verdict.
+  ExpectedVoid checkSnapshot(SnapshotId Id, const char *Where,
+                             const DerivStep &Step) {
+    if (WellFormed[Id])
+      return success();
+    if (auto Problem = checkWellFormed(D->snapshot(Id), Names))
+      return fail(std::string("ill-formed context ") + Where + " " +
+                  std::string(ruleName(Step.Rule)) + ": " + *Problem);
+    WellFormed[Id] = true;
+    return success();
+  }
+
   ExpectedVoid verifyStep(const DerivStep &Step) {
     ++Stats.StepsChecked;
-    if (auto Problem = checkWellFormed(Step.Before, Names))
-      return fail("ill-formed context before " + Step.Rule + ": " +
-                  *Problem);
-    if (auto Problem = checkWellFormed(Step.After, Names))
-      return fail("ill-formed context after " + Step.Rule + ": " +
-                  *Problem);
+    if (auto Err = checkSnapshot(Step.Before, "before", Step); !Err)
+      return Err;
+    if (auto Err = checkSnapshot(Step.After, "after", Step); !Err)
+      return Err;
 
-    if (Step.Rule == rules::V1Focus)
+    switch (Step.Rule) {
+    case RuleId::V1Focus:
       return verifyFocus(Step);
-    if (Step.Rule == rules::V2Unfocus)
+    case RuleId::V2Unfocus:
       return verifyUnfocus(Step);
-    if (Step.Rule == rules::V3Explore)
+    case RuleId::V3Explore:
       return verifyExplore(Step);
-    if (Step.Rule == rules::V4Retract)
+    case RuleId::V4Retract:
       return verifyRetract(Step);
-    if (Step.Rule == rules::V5Attach)
+    case RuleId::V5Attach:
       return verifyAttach(Step);
-    if (Step.Rule == rules::FDropRegion)
+    case RuleId::FDropRegion:
       return verifyDropRegion(Step);
-    if (Step.Rule == rules::FPinRegion)
+    case RuleId::FPinRegion:
       return verifyPin(Step);
+    default:
+      break;
+    }
 
     // Expression steps: verify recursively, then rule-local facts.
-    for (const auto &Child : Step.Children)
-      if (auto Err = verifyStep(*Child); !Err)
+    for (StepId C = Step.FirstChild; C != NoStep; C = D->step(C).NextSibling)
+      if (auto Err = verifyStep(D->step(C)); !Err)
         return Err;
     return verifyExprFacts(Step);
   }
@@ -118,22 +146,22 @@ private:
     RegionId Region;
     Symbol Var;
     bool Added = false;
-    if (!diffTrackedVars(Step.Before.Heap, Step.After.Heap, Region, Var,
+    if (!diffTrackedVars(before(Step).Heap, after(Step).Heap, Region, Var,
                          Added) ||
         !Added)
       return fail("V1-Focus: diff is not a single added tracked variable");
-    const RegionTrack *BeforeTrack = Step.Before.Heap.lookup(Region);
+    const RegionTrack *BeforeTrack = before(Step).Heap.lookup(Region);
     if (!BeforeTrack || !BeforeTrack->empty() || BeforeTrack->Pinned)
       return fail("V1-Focus: region was not empty and unpinned");
-    const VarBinding *Binding = Step.Before.Vars.lookup(Var);
+    const VarBinding *Binding = before(Step).Vars.lookup(Var);
     if (!Binding || Binding->Region != Region ||
         !Binding->VarType.isStruct())
       return fail("V1-Focus: variable not bound to the focused region "
                   "with a struct type");
     // Recompute After.
-    Contexts Expect = Step.Before;
+    Contexts Expect = before(Step);
     Expect.Heap.lookup(Region)->Vars.emplace(Var, VarTrack{});
-    if (!(Expect == Step.After))
+    if (!(Expect == after(Step)))
       return fail("V1-Focus: After context is not the exact instance");
     return verifyVStepEnd();
   }
@@ -142,17 +170,17 @@ private:
     RegionId Region;
     Symbol Var;
     bool Added = false;
-    if (!diffTrackedVars(Step.Before.Heap, Step.After.Heap, Region, Var,
+    if (!diffTrackedVars(before(Step).Heap, after(Step).Heap, Region, Var,
                          Added) ||
         Added)
       return fail("V2-Unfocus: diff is not a single removed tracked "
                   "variable");
-    const VarTrack *Track = Step.Before.Heap.trackedVar(Region, Var);
+    const VarTrack *Track = before(Step).Heap.trackedVar(Region, Var);
     if (!Track || !Track->Fields.empty())
       return fail("V2-Unfocus: variable still had tracked fields");
-    Contexts Expect = Step.Before;
+    Contexts Expect = before(Step);
     Expect.Heap.lookup(Region)->Vars.erase(Var);
-    if (!(Expect == Step.After))
+    if (!(Expect == after(Step)))
       return fail("V2-Unfocus: After context is not the exact instance");
     return verifyVStepEnd();
   }
@@ -193,19 +221,19 @@ private:
     RegionId Region, Target;
     Symbol Var, Field;
     bool Added = false;
-    if (!diffTrackedFields(Step.Before.Heap, Step.After.Heap, Region, Var,
+    if (!diffTrackedFields(before(Step).Heap, after(Step).Heap, Region, Var,
                            Field, Target, Added) ||
         !Added)
       return fail("V3-Explore: diff is not a single added tracked field");
-    if (Step.Before.Heap.hasRegion(Target))
+    if (before(Step).Heap.hasRegion(Target))
       return fail("V3-Explore: target region is not fresh");
-    const VarTrack *Track = Step.Before.Heap.trackedVar(Region, Var);
+    const VarTrack *Track = before(Step).Heap.trackedVar(Region, Var);
     if (!Track || Track->Pinned)
       return fail("V3-Explore: variable untracked or pinned");
-    Contexts Expect = Step.Before;
+    Contexts Expect = before(Step);
     Expect.Heap.trackedVar(Region, Var)->Fields[Field] = Target;
     Expect.Heap.addRegion(Target);
-    if (!(Expect == Step.After))
+    if (!(Expect == after(Step)))
       return fail("V3-Explore: After context is not the exact instance");
     return verifyVStepEnd();
   }
@@ -214,19 +242,19 @@ private:
     RegionId Region, Target;
     Symbol Var, Field;
     bool Added = false;
-    if (!diffTrackedFields(Step.Before.Heap, Step.After.Heap, Region, Var,
+    if (!diffTrackedFields(before(Step).Heap, after(Step).Heap, Region, Var,
                            Field, Target, Added) ||
         Added)
       return fail("V4-Retract: diff is not a single removed tracked "
                   "field");
-    const RegionTrack *TargetTrack = Step.Before.Heap.lookup(Target);
+    const RegionTrack *TargetTrack = before(Step).Heap.lookup(Target);
     if (!TargetTrack || !TargetTrack->empty() || TargetTrack->Pinned)
       return fail("V4-Retract: target region not present, empty, and "
                   "unpinned");
-    Contexts Expect = Step.Before;
+    Contexts Expect = before(Step);
     Expect.Heap.trackedVar(Region, Var)->Fields.erase(Field);
     Expect.Heap.removeRegion(Target);
-    if (!(Expect == Step.After))
+    if (!(Expect == after(Step)))
       return fail("V4-Retract: After context is not the exact instance");
     return verifyVStepEnd();
   }
@@ -234,9 +262,9 @@ private:
   ExpectedVoid verifyAttach(const DerivStep &Step) {
     // The removed region is the one present before and absent after.
     RegionId From;
-    for (const auto &[R, Track] : Step.Before.Heap.entries()) {
+    for (const auto &[R, Track] : before(Step).Heap.entries()) {
       (void)Track;
-      if (!Step.After.Heap.hasRegion(R)) {
+      if (!after(Step).Heap.hasRegion(R)) {
         if (From.isValid())
           return fail("V5-Attach: more than one region disappeared");
         From = R;
@@ -247,16 +275,16 @@ private:
     // Find To: the region whose tracking gained From's variables, or any
     // region that From's references now point to. Recompute for every
     // candidate To and compare.
-    for (const auto &[To, Track] : Step.After.Heap.entries()) {
+    for (const auto &[To, Track] : after(Step).Heap.entries()) {
       (void)Track;
-      if (!Step.Before.Heap.hasRegion(To))
+      if (!before(Step).Heap.hasRegion(To))
         continue;
-      if (!Step.Before.Heap.canAttach(From, To))
+      if (!before(Step).Heap.canAttach(From, To))
         continue;
-      Contexts Expect = Step.Before;
+      Contexts Expect = before(Step);
       Expect.Heap.attach(From, To);
       Expect.Vars.renameRegion(From, To);
-      if (Expect == Step.After)
+      if (Expect == after(Step))
         return verifyVStepEnd();
     }
     return fail("V5-Attach: no legal attach target reproduces the After "
@@ -265,9 +293,9 @@ private:
 
   ExpectedVoid verifyDropRegion(const DerivStep &Step) {
     RegionId Dropped;
-    for (const auto &[R, Track] : Step.Before.Heap.entries()) {
+    for (const auto &[R, Track] : before(Step).Heap.entries()) {
       (void)Track;
-      if (!Step.After.Heap.hasRegion(R)) {
+      if (!after(Step).Heap.hasRegion(R)) {
         if (Dropped.isValid())
           return fail("F-Drop-Region: more than one region disappeared");
         Dropped = R;
@@ -275,11 +303,11 @@ private:
     }
     if (!Dropped.isValid())
       return fail("F-Drop-Region: no region disappeared");
-    if (Step.Before.Heap.lookup(Dropped)->Pinned)
+    if (before(Step).Heap.lookup(Dropped)->Pinned)
       return fail("F-Drop-Region: dropped region was pinned");
-    Contexts Expect = Step.Before;
+    Contexts Expect = before(Step);
     Expect.Heap.removeRegion(Dropped);
-    if (!(Expect == Step.After))
+    if (!(Expect == after(Step)))
       return fail("F-Drop-Region: After context is not the exact "
                   "instance");
     return verifyVStepEnd();
@@ -288,9 +316,9 @@ private:
   ExpectedVoid verifyPin(const DerivStep &Step) {
     // A pin sets exactly one pin flag (region or tracked variable).
     size_t Diffs = 0;
-    Contexts Expect = Step.Before;
-    for (auto &[R, Track] : Step.Before.Heap.entries()) {
-      const RegionTrack *AfterTrack = Step.After.Heap.lookup(R);
+    Contexts Expect = before(Step);
+    for (auto &[R, Track] : before(Step).Heap.entries()) {
+      const RegionTrack *AfterTrack = after(Step).Heap.lookup(R);
       if (!AfterTrack)
         return fail("F-Pin-Region: region disappeared");
       if (Track.Pinned != AfterTrack->Pinned) {
@@ -300,7 +328,7 @@ private:
         ++Diffs;
       }
       for (auto &[V, VT] : Track.Vars) {
-        const VarTrack *AfterVT = Step.After.Heap.trackedVar(R, V);
+        const VarTrack *AfterVT = after(Step).Heap.trackedVar(R, V);
         if (!AfterVT)
           return fail("F-Pin-Region: tracked variable disappeared");
         if (VT.Pinned != AfterVT->Pinned) {
@@ -311,7 +339,7 @@ private:
         }
       }
     }
-    if (Diffs != 1 || !(Expect == Step.After))
+    if (Diffs != 1 || !(Expect == after(Step)))
       return fail("F-Pin-Region: After context is not a single added pin");
     return verifyVStepEnd();
   }
@@ -321,77 +349,79 @@ private:
   //===--------------------------------------------------------------------===
 
   ExpectedVoid verifyExprFacts(const DerivStep &Step) {
-    if (Step.Rule == "T2-Variable-Ref") {
+    switch (Step.Rule) {
+    case RuleId::T2VariableRef: {
       const auto *Var = dyn_cast<VarRefExpr>(Step.E);
       if (!Var)
         return fail("T2: step is not a variable reference");
-      const VarBinding *Binding = Step.Before.Vars.lookup(Var->Name);
+      const VarBinding *Binding = before(Step).Vars.lookup(Var->Name);
       if (!Binding)
         return fail("T2: variable not bound in Γ");
       if (Binding->VarType.isRegionful() &&
-          !Step.Before.Heap.hasRegion(Binding->Region))
+          !before(Step).Heap.hasRegion(Binding->Region))
         return fail("T2: variable's region capability missing from H");
-      if (!(Step.Before == Step.After))
+      if (!unchanged(Step))
         return fail("T2: variable reference must not change the context");
       return success();
     }
-    if (Step.Rule == "T5-Isolated-Field-Reference") {
+    case RuleId::T5IsolatedFieldReference: {
       const auto *Ref = dyn_cast<FieldRefExpr>(Step.E);
       if (!Ref || !isa<VarRefExpr>(Ref->Base.get()))
         return fail("T5: step is not an iso field read on a variable");
       Symbol Var = cast<VarRefExpr>(*Ref->Base).Name;
-      auto Region = Step.After.Heap.trackingRegionOf(Var);
+      auto Region = after(Step).Heap.trackingRegionOf(Var);
       if (!Region)
         return fail("T5: base variable is not tracked afterwards");
-      const VarTrack *Track = Step.After.Heap.trackedVar(*Region, Var);
+      const VarTrack *Track = after(Step).Heap.trackedVar(*Region, Var);
       auto It = Track->Fields.find(Ref->Field);
       if (It == Track->Fields.end())
         return fail("T5: field is not tracked afterwards");
       if (Step.ResultType.isRegionful() &&
           It->second != Step.ResultRegion)
         return fail("T5: result region is not the tracked target");
-      if (!Step.After.Heap.hasRegion(It->second))
+      if (!after(Step).Heap.hasRegion(It->second))
         return fail("T5: tracked target region missing from H");
       return success();
     }
-    if (Step.Rule == "T7-Isolated-Field-Assignment") {
+    case RuleId::T7IsolatedFieldAssignment: {
       const auto *Assign = dyn_cast<AssignFieldExpr>(Step.E);
       if (!Assign || !isa<VarRefExpr>(Assign->Base.get()))
         return fail("T7: step is not an iso field write on a variable");
       Symbol Var = cast<VarRefExpr>(*Assign->Base).Name;
-      auto Region = Step.After.Heap.trackingRegionOf(Var);
+      auto Region = after(Step).Heap.trackingRegionOf(Var);
       if (!Region)
         return fail("T7: base variable is not tracked afterwards");
-      const VarTrack *Track = Step.After.Heap.trackedVar(*Region, Var);
+      const VarTrack *Track = after(Step).Heap.trackedVar(*Region, Var);
       if (!Track->Fields.count(Assign->Field))
         return fail("T7: assigned field is not tracked afterwards");
       return success();
     }
-    if (Step.Rule == "T16-Send") {
+    case RuleId::T16Send: {
       // The operand child's result region must have left H.
-      if (Step.Children.empty())
-        return fail("T16: missing operand derivation");
       const DerivStep *Operand = nullptr;
-      for (const auto &Child : Step.Children)
-        if (Child->E)
-          Operand = Child.get();
+      D->forEachChild(Step, [&](const DerivStep &Child) {
+        if (Child.E)
+          Operand = &Child;
+      });
       if (!Operand)
         return fail("T16: missing operand derivation");
       if (Operand->ResultType.isRegionful() &&
-          Step.After.Heap.hasRegion(Operand->ResultRegion))
+          after(Step).Heap.hasRegion(Operand->ResultRegion))
         return fail("T16: sent region still present in H");
       return success();
     }
-    if (Step.Rule == "T17-Receive" || Step.Rule == "T10-New-Loc") {
+    case RuleId::T17Receive:
+    case RuleId::T10NewLoc:
       if (Step.ResultType.isRegionful()) {
-        if (!Step.After.Heap.hasRegion(Step.ResultRegion))
-          return fail(Step.Rule + ": result region missing from H");
-        if (Step.Before.Heap.hasRegion(Step.ResultRegion))
-          return fail(Step.Rule + ": result region is not fresh");
+        if (!after(Step).Heap.hasRegion(Step.ResultRegion))
+          return fail(std::string(ruleName(Step.Rule)) +
+                      ": result region missing from H");
+        if (before(Step).Heap.hasRegion(Step.ResultRegion))
+          return fail(std::string(ruleName(Step.Rule)) +
+                      ": result region is not fresh");
       }
       return success();
-    }
-    if (Step.Rule == "T9-Function-Application") {
+    case RuleId::T9FunctionApplication: {
       const auto *Call = dyn_cast<CallExpr>(Step.E);
       if (!Call)
         return fail("T9: step is not a call");
@@ -401,15 +431,19 @@ private:
       if (!(Step.ResultType == It->second.ReturnType))
         return fail("T9: result type does not match the signature");
       if (Step.ResultType.isRegionful() &&
-          !Step.After.Heap.hasRegion(Step.ResultRegion))
+          !after(Step).Heap.hasRegion(Step.ResultRegion))
         return fail("T9: result region missing from H");
       return success();
+    }
+    default:
+      break;
     }
     // Other rules: structural checks (well-formedness, children) already
     // ran; result-region sanity where applicable.
     if (Step.ResultType.isRegionful() && Step.ResultRegion.isValid() &&
-        !Step.After.Heap.hasRegion(Step.ResultRegion))
-      return fail(Step.Rule + ": result region missing from H");
+        !after(Step).Heap.hasRegion(Step.ResultRegion))
+      return fail(std::string(ruleName(Step.Rule)) +
+                  ": result region missing from H");
     return success();
   }
 
@@ -422,6 +456,9 @@ private:
   const CheckedProgram &Program;
   const CheckedFunction &Fn;
   const Interner &Names;
+  const Derivation *D = nullptr;
+  /// Per snapshot: already found well-formed.
+  std::vector<bool> WellFormed;
   VerifyStats Stats;
   std::string CurrentExpr;
 };
@@ -437,7 +474,7 @@ Expected<VerifyStats> fearless::verifyProgram(const CheckedProgram &Program) {
   VerifyStats Total;
   for (const auto &[Name, Fn] : Program.Functions) {
     (void)Name;
-    if (!Fn.Derivation)
+    if (!Fn.Deriv)
       continue;
     Expected<VerifyStats> Stats = verifyFunction(Program, Fn);
     if (!Stats)

@@ -39,6 +39,43 @@ TEST(Lexer, IdentifiersVsKeywords) {
   EXPECT_EQ(Kinds, Want);
 }
 
+TEST(Lexer, EveryKeywordLexesToItsKind) {
+  // tokenKindName quotes each keyword's spelling: "'struct'".
+  for (int K = static_cast<int>(TokenKind::KwStruct);
+       K <= static_cast<int>(TokenKind::KwResult); ++K) {
+    TokenKind Kind = static_cast<TokenKind>(K);
+    std::string Quoted = tokenKindName(Kind);
+    ASSERT_GE(Quoted.size(), 3u);
+    std::string Spelling = Quoted.substr(1, Quoted.size() - 2);
+    EXPECT_EQ(kindsOf(Spelling),
+              (std::vector<TokenKind>{Kind, TokenKind::EndOfFile}))
+        << Spelling;
+  }
+}
+
+TEST(Lexer, KeywordNearMissesAreIdentifiers) {
+  for (const char *Text : {"defx", "iso_", "i", "_if", "If", "whilex",
+                           "is_non", "is_nones", "a", "z9", "resultant",
+                           "disconnecte", "_"}) {
+    DiagnosticEngine Diags;
+    std::vector<Token> Tokens = lex(Text, Diags);
+    ASSERT_EQ(Tokens.size(), 2u) << Text;
+    EXPECT_EQ(Tokens[0].Kind, TokenKind::Identifier) << Text;
+    EXPECT_EQ(Tokens[0].Text, Text);
+  }
+}
+
+TEST(Lexer, ColumnsAfterIdentifiersAndNumbers) {
+  DiagnosticEngine Diags;
+  std::vector<Token> Tokens = lex("abc 12345 x\n  while", Diags);
+  ASSERT_EQ(Tokens.size(), 5u);
+  EXPECT_EQ(Tokens[1].Loc.Column, 5u);
+  EXPECT_EQ(Tokens[2].Loc.Column, 11u);
+  EXPECT_EQ(Tokens[3].Loc.Line, 2u);
+  EXPECT_EQ(Tokens[3].Loc.Column, 3u);
+  EXPECT_EQ(Tokens[3].Kind, TokenKind::KwWhile);
+}
+
 TEST(Lexer, Operators) {
   auto Kinds = kindsOf("== != <= >= < > = ! && || + - * / % ~ ?");
   std::vector<TokenKind> Want = {

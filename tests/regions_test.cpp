@@ -57,13 +57,27 @@ TEST_F(Fixture, WellFormedRejectsDoubleTracking) {
   Ctx.Heap.lookup(R3)->Vars[X]; // x tracked in a second region
   auto Problem = checkWellFormed(Ctx, Names);
   ASSERT_TRUE(Problem.has_value());
-  EXPECT_NE(Problem->find("tracked in two regions"), std::string::npos);
+  EXPECT_EQ(*Problem, "variable 'x' tracked in two regions (r1 and r3)");
+}
+
+TEST_F(Fixture, WellFormedNamesTheFirstTrackingRegion) {
+  // x tracked in r1, r3 and r4: the message pairs the first two.
+  Contexts Ctx = tracked();
+  RegionId R3 = Supply.fresh();
+  RegionId R4 = Supply.fresh();
+  Ctx.Heap.addRegion(R4);
+  Ctx.Heap.addRegion(R3);
+  Ctx.Heap.lookup(R4)->Vars[X];
+  Ctx.Heap.lookup(R3)->Vars[X];
+  EXPECT_EQ(checkWellFormed(Ctx, Names),
+            "variable 'x' tracked in two regions (r1 and r3)");
 }
 
 TEST_F(Fixture, WellFormedRejectsUnboundTrackedVar) {
   Contexts Ctx = tracked();
   Ctx.Vars.erase(X);
-  EXPECT_TRUE(checkWellFormed(Ctx, Names).has_value());
+  EXPECT_EQ(checkWellFormed(Ctx, Names),
+            "tracked variable 'x' is not bound in Γ");
 }
 
 TEST_F(Fixture, WellFormedRejectsMismatchedBindingRegion) {
@@ -71,7 +85,16 @@ TEST_F(Fixture, WellFormedRejectsMismatchedBindingRegion) {
   RegionId Other = Supply.fresh();
   Ctx.Heap.addRegion(Other);
   Ctx.Vars.bind(X, VarBinding{Other, Type::structTy(S)});
-  EXPECT_TRUE(checkWellFormed(Ctx, Names).has_value());
+  EXPECT_EQ(checkWellFormed(Ctx, Names),
+            "tracked variable 'x' is bound to r3 but tracked in r1");
+}
+
+TEST_F(Fixture, WellFormedRejectsNonStructTrackedVar) {
+  Contexts Ctx = tracked();
+  Ctx.Vars.bind(X, VarBinding{Ctx.Vars.lookup(X)->Region,
+                              Type::structTy(S).asMaybe()});
+  EXPECT_EQ(checkWellFormed(Ctx, Names),
+            "tracked variable 'x' does not have a struct type");
 }
 
 TEST_F(Fixture, AttachMergesTrackingAndRenames) {

@@ -22,7 +22,9 @@ struct VirtualFixture : ::testing::Test {
   Interner Names;
   RegionSupply Supply;
   Contexts Ctx;
-  DerivStep Sink;
+  /// Steps are recorded as children of Root.
+  Derivation Deriv;
+  StepId Root = NoStep;
   Symbol X, Y, F, G, S;
 
   void SetUp() override {
@@ -31,10 +33,20 @@ struct VirtualFixture : ::testing::Test {
     F = Names.intern("f");
     G = Names.intern("g");
     S = Names.intern("s");
+    Root = Deriv.open(RuleId::T0FunctionDefinition, nullptr, Ctx);
   }
 
   VirtualEngine engine() {
-    return VirtualEngine(Ctx, Supply, Names, &Sink);
+    return VirtualEngine(Ctx, Supply, Names, DerivSink{&Deriv, Root});
+  }
+
+  /// The rules of the recorded steps, in order.
+  std::vector<RuleId> recorded() const {
+    std::vector<RuleId> Rules;
+    Deriv.forEachChild(Deriv.step(Root), [&](const DerivStep &Step) {
+      Rules.push_back(Step.Rule);
+    });
+    return Rules;
   }
 
   RegionId bindFresh(Symbol Var) {
@@ -53,9 +65,15 @@ TEST_F(VirtualFixture, FocusThenUnfocusRoundTrips) {
   EXPECT_NE(Ctx.Heap.trackedVar(R, X), nullptr);
   ASSERT_TRUE(E.unfocus(X, SourceLoc{}).hasValue());
   EXPECT_TRUE(Ctx == Before);
-  EXPECT_EQ(Sink.Children.size(), 2u);
-  EXPECT_EQ(Sink.Children[0]->Rule, rules::V1Focus);
-  EXPECT_EQ(Sink.Children[1]->Rule, rules::V2Unfocus);
+  EXPECT_EQ(recorded(),
+            (std::vector<RuleId>{RuleId::V1Focus, RuleId::V2Unfocus}));
+  // Snapshots: the root's empty context, x bound, x focused, and x
+  // unfocused again. The unfocus shares the focus's After as its Before;
+  // its own After equals the second snapshot but is new, since only the
+  // last snapshot recorded is compared.
+  EXPECT_EQ(Deriv.snapshots().size(), 4u);
+  EXPECT_EQ(Deriv.step(1).After, Deriv.step(2).Before);
+  EXPECT_TRUE(Deriv.after(Deriv.step(2)) == Deriv.before(Deriv.step(1)));
 }
 
 TEST_F(VirtualFixture, FocusRequiresEmptyRegion) {
@@ -173,7 +191,7 @@ TEST_F(VirtualFixture, AttachMergesAndRecords) {
   ASSERT_TRUE(engine().attach(R2, R1, SourceLoc{}).hasValue());
   EXPECT_FALSE(Ctx.Heap.hasRegion(R2));
   EXPECT_EQ(Ctx.Vars.lookup(Y)->Region, R1);
-  EXPECT_EQ(Sink.Children.back()->Rule, rules::V5Attach);
+  EXPECT_EQ(recorded().back(), RuleId::V5Attach);
 }
 
 TEST_F(VirtualFixture, DropRegionInvalidatesBindings) {
@@ -189,15 +207,15 @@ TEST_F(VirtualFixture, PinIsIdempotentWeakening) {
   VirtualEngine E = engine();
   ASSERT_TRUE(E.pinRegion(R, SourceLoc{}).hasValue());
   EXPECT_TRUE(Ctx.Heap.lookup(R)->Pinned);
-  size_t StepsBefore = Sink.Children.size();
+  size_t StepsBefore = recorded().size();
   ASSERT_TRUE(E.pinRegion(R, SourceLoc{}).hasValue());
-  EXPECT_EQ(Sink.Children.size(), StepsBefore); // no-op not recorded
+  EXPECT_EQ(recorded().size(), StepsBefore); // no-op not recorded
 }
 
 TEST_F(VirtualFixture, StepCounterCounts) {
   bindFresh(X);
   size_t Counter = 0;
-  VirtualEngine E(Ctx, Supply, Names, nullptr, &Counter);
+  VirtualEngine E(Ctx, Supply, Names, DerivSink{}, &Counter);
   ASSERT_TRUE(E.focus(X, SourceLoc{}).hasValue());
   ASSERT_TRUE(E.explore(X, F, SourceLoc{}).hasValue());
   EXPECT_EQ(Counter, 2u);

@@ -7,7 +7,10 @@ Usage:
 Options:
   --threshold X    regression threshold as a ratio (default 1.25: fail if
                    current time > 1.25x baseline time on any benchmark)
-  --metric NAME    time field to compare: cpu_time (default) or real_time
+  --metric NAME    time field to compare: real_time (default) or cpu_time.
+                   cpu_time is the calling thread's CPU time, which for a
+                   benchmark that hands work to a thread pool leaves out
+                   the workers
   --counters       also print counter deltas (allocs_per_iter,
                    losing_side_visited, RuntimeMetrics counters, ...)
   --min-ns X       ignore benchmarks whose baseline time is below X ns
@@ -143,30 +146,80 @@ def self_test():
         f.flush()
         return f
 
-    with baseline_file(["BM_Kept", "BM_Gone/64"]) as old, \
-            baseline_file(["BM_Kept"]) as new:
+    def run_main(*args):
         out = io.StringIO()
         argv = sys.argv
-        sys.argv = ["bench_compare.py", old.name, new.name]
+        sys.argv = ["bench_compare.py", *args]
         try:
             with contextlib.redirect_stdout(out):
                 status = main()
         finally:
             sys.argv = argv
-        text = out.getvalue()
+        return status, out.getvalue()
+
+    with baseline_file(["BM_Kept", "BM_Gone/64"]) as old, \
+            baseline_file(["BM_Kept"]) as new:
+        status, text = run_main(old.name, new.name)
         assert status == 0, text
         assert "removed: only in baseline (1):\n  b/BM_Gone/64" in text, text
         assert "0 regression(s)" in text, text
+
+    def entries_file(entries):
+        f = tempfile.NamedTemporaryFile("w", suffix=".json")
+        json.dump({"schema": "fearless-bench-v1",
+                   "benches": {"b": {"benchmarks": entries}}}, f)
+        f.flush()
+        return f
+
+    # A millisecond entry prints in milliseconds, not as nanoseconds, and
+    # its ratio is unit-independent.
+    ms_old = {"name": "BM_FanIn/10000", "time_unit": "ms",
+              "real_time": 3.2, "cpu_time": 3.2}
+    ms_new = dict(ms_old, real_time=3.3, cpu_time=3.3)
+    with entries_file([ms_old]) as old, entries_file([ms_new]) as new:
+        status, text = run_main(old.name, new.name)
+        assert status == 0, text
+        assert "3.20 ms" in text and "3.30 ms" in text, text
+        assert " ns" not in text, text
+    # The same time in another unit compares equal.
+    with entries_file([ms_old]) as old, \
+            entries_file([dict(ms_old, time_unit="us", real_time=3200.0)]) \
+            as new:
+        status, text = run_main(old.name, new.name)
+        assert status == 0 and "1.00x" in text, text
+
+    # A pool benchmark: the main thread's cpu_time tripled while the wall
+    # time held. The default (real_time) sees no regression; asking for
+    # cpu_time still can.
+    mt_old = {"name": "BM_Pool/threads:4", "time_unit": "us",
+              "real_time": 100.0, "cpu_time": 5.0, "threads": 4}
+    mt_new = dict(mt_old, real_time=102.0, cpu_time=15.0)
+    with entries_file([mt_old]) as old, entries_file([mt_new]) as new:
+        status, text = run_main(old.name, new.name)
+        assert status == 0, text
+        assert "on real_time" in text and "1.02x" in text, text
+        status, text = run_main(old.name, new.name, "--metric", "cpu_time")
+        assert status == 1 and "REGRESSION" in text, text
     print("bench_compare self-test: OK")
     return 0
 
 
-def fmt_time(ns):
-    if ns >= 1e6:
-        return f"{ns / 1e6:10.2f} ms"
-    if ns >= 1e3:
-        return f"{ns / 1e3:10.2f} us"
-    return f"{ns:10.1f} ns"
+# Google Benchmark reports each entry's times in its "time_unit".
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def entry_time(entry, metric):
+    """(value, unit, value in ns) of an entry's metric; None when the
+    entry has no such time or an unknown unit."""
+    value = entry.get(metric)
+    unit = entry.get("time_unit", "ns")
+    if not isinstance(value, (int, float)) or unit not in NS_PER_UNIT:
+        return None
+    return value, unit, value * NS_PER_UNIT[unit]
+
+
+def fmt_time(value, unit):
+    return f"{value:10.2f} {unit:>2}"
 
 
 def main():
@@ -176,7 +229,8 @@ def main():
     ap.add_argument("baseline", nargs="?")
     ap.add_argument("current", nargs="?")
     ap.add_argument("--threshold", type=float, default=1.25)
-    ap.add_argument("--metric", choices=("cpu_time", "real_time"), default="cpu_time")
+    ap.add_argument("--metric", choices=("cpu_time", "real_time"),
+                    default="real_time")
     ap.add_argument("--counters", action="store_true")
     ap.add_argument("--min-ns", type=float, default=0.0)
     ap.add_argument("--self-test", action="store_true")
@@ -196,13 +250,14 @@ def main():
     for name in sorted(base):
         if name not in cur:
             continue
-        b, c = base[name].get(args.metric), cur[name].get(args.metric)
-        if b is None or c is None or b <= 0:
+        b = entry_time(base[name], args.metric)
+        c = entry_time(cur[name], args.metric)
+        if b is None or c is None or b[2] <= 0:
             continue
-        if b < args.min_ns:
+        if b[2] < args.min_ns:
             skipped += 1
             continue
-        ratio = c / b
+        ratio = c[2] / b[2]
         flag = ""
         if ratio > args.threshold:
             flag = "  << REGRESSION"
@@ -211,7 +266,7 @@ def main():
             flag = "  improved"
             improvements.append((name, ratio))
         print(
-            f"{name.ljust(width)}  {fmt_time(b)}  {fmt_time(c)}  "
+            f"{name.ljust(width)}  {fmt_time(*b[:2])}  {fmt_time(*c[:2])}  "
             f"{ratio:5.2f}x{flag}"
         )
         if args.counters:

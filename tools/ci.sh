@@ -429,14 +429,18 @@ run_chaos_smoke "tsan" "$ROOT/build-tsan"
 # would miss. The checker's use-set cache hands out references into
 # storage it recycles between functions, and the summary engine writes
 # reports through indices into a caller's vector: checker_test,
-# parser_test (the function index) and analysis_test cover those.
+# parser_test (the function index) and analysis_test cover those. The
+# typing contexts are flat sorted vectors whose storage moves on every
+# insert, and a derivation links steps by index into tables that grow
+# and are truncated: regions_test, virtual_test, unify_test and
+# verifier_test drive those directly.
 echo "==> [asan] configure + build (FEARLESS_SANITIZE=address)"
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DFEARLESS_SANITIZE=address >/dev/null
-cmake --build "$ROOT/build-asan" -j "$JOBS" \
-  --target fearlessc runtime_test mc_test checker_test parser_test \
-  analysis_test
+ASAN_TESTS="runtime_test mc_test checker_test parser_test analysis_test
+  regions_test virtual_test unify_test verifier_test"
+cmake --build "$ROOT/build-asan" -j "$JOBS" --target fearlessc $ASAN_TESTS
 run_corpus_smoke "asan" "$ROOT/build-asan"
-for t in runtime_test mc_test checker_test parser_test analysis_test; do
+for t in $ASAN_TESTS; do
   echo "==> [asan] $t"
   "$ROOT/build-asan/tests/$t"
 done
