@@ -16,7 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/StaticDisconnect.h"
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 
 #include <benchmark/benchmark.h>
 
@@ -94,16 +94,17 @@ std::string corpusProgram(int Fns) {
 
 void runAnalysisBench(benchmark::State &State, bool Interprocedural) {
   std::string Source = corpusProgram(static_cast<int>(State.range(0)));
-  Expected<Pipeline> P = compile(Source);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
+  auto Built = buildArtifact(Source);
+  if (!Built) {
+    State.SkipWithError(Built.error().Message.c_str());
     return;
   }
+  const Pipeline &P = (*Built)->P;
   AnalysisOptions Opts;
   Opts.Interprocedural = Interprocedural;
   size_t MustDisc = 0, MustConn = 0, Unknown = 0, Sites = 0;
   for (auto _ : State) {
-    AnalysisReport R = analyzeProgram(P->Checked, Opts);
+    AnalysisReport R = analyzeProgram(P.Checked, Opts);
     MustDisc = MustConn = Unknown = 0;
     Sites = R.Sites.size();
     for (const SiteReport &S : R.Sites) {
@@ -117,7 +118,7 @@ void runAnalysisBench(benchmark::State &State, bool Interprocedural) {
     benchmark::DoNotOptimize(R.Sites.data());
   }
   State.counters["functions"] =
-      static_cast<double>(P->Checked.Functions.size());
+      static_cast<double>(P.Checked.Functions.size());
   State.counters["sites"] = static_cast<double>(Sites);
   State.counters["must_disconnected"] = static_cast<double>(MustDisc);
   State.counters["must_connected"] = static_cast<double>(MustConn);
@@ -142,14 +143,15 @@ BENCHMARK(BM_Analyze_Intra)->Arg(32)->Arg(128)->Arg(512)->Arg(2048);
 /// without the per-function verdict pass on top.
 void BM_Summaries_Only(benchmark::State &State) {
   std::string Source = corpusProgram(static_cast<int>(State.range(0)));
-  Expected<Pipeline> P = compile(Source);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
+  auto Built = buildArtifact(Source);
+  if (!Built) {
+    State.SkipWithError(Built.error().Message.c_str());
     return;
   }
+  const Pipeline &P = (*Built)->P;
   SummaryStats Stats;
   for (auto _ : State) {
-    SummaryTable T = computeSummaries(P->Checked, &Stats);
+    SummaryTable T = computeSummaries(P.Checked, &Stats);
     benchmark::DoNotOptimize(T.size());
   }
   State.counters["functions"] = static_cast<double>(Stats.Functions);

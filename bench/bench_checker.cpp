@@ -16,7 +16,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
+#include "parser/Parser.h"
 
 #include <benchmark/benchmark.h>
 
@@ -26,42 +27,56 @@ using namespace fearless;
 
 namespace {
 
+/// Parse + check only, without verification, analysis or lowering: the
+/// checker's own cost, for the entries that switch its options or time
+/// the verifier alone. \p Prog owns the parsed program.
+Expected<CheckedProgram> checkOnly(std::string_view Source,
+                                   const CheckerOptions &Opts,
+                                   std::optional<Program> &Prog) {
+  DiagnosticEngine Diags;
+  Prog = parseProgram(Source, Diags);
+  if (!Prog)
+    return fail(Diags.renderAll());
+  return checkProgram(*Prog, Opts);
+}
+
 //===----------------------------------------------------------------------===//
 // E3: suites
 //===----------------------------------------------------------------------===//
 
 void BM_Check_SllSuite(benchmark::State &State) {
   for (auto _ : State)
-    benchmark::DoNotOptimize(compile(programs::SllSuite).hasValue());
+    benchmark::DoNotOptimize(buildArtifact(programs::SllSuite).hasValue());
 }
 BENCHMARK(BM_Check_SllSuite);
 
 void BM_Check_DllSuite(benchmark::State &State) {
   for (auto _ : State)
-    benchmark::DoNotOptimize(compile(programs::DllSuite).hasValue());
+    benchmark::DoNotOptimize(buildArtifact(programs::DllSuite).hasValue());
 }
 BENCHMARK(BM_Check_DllSuite);
 
 void BM_Check_RedBlackTree(benchmark::State &State) {
   for (auto _ : State)
-    benchmark::DoNotOptimize(compile(programs::RedBlackTree).hasValue());
+    benchmark::DoNotOptimize(buildArtifact(programs::RedBlackTree).hasValue());
 }
 BENCHMARK(BM_Check_RedBlackTree);
 
 void BM_Check_MessagePassing(benchmark::State &State) {
   for (auto _ : State)
     benchmark::DoNotOptimize(
-        compile(programs::MessagePassing).hasValue());
+        buildArtifact(programs::MessagePassing).hasValue());
 }
 BENCHMARK(BM_Check_MessagePassing);
 
 void BM_Check_RedBlackTree_NoDerivations(benchmark::State &State) {
   CheckerOptions Opts;
   Opts.EmitDerivations = false;
-  for (auto _ : State)
+  for (auto _ : State) {
+    std::optional<Program> Prog;
     benchmark::DoNotOptimize(
-        compile(programs::RedBlackTree, Opts, /*Verify=*/false)
-            .hasValue());
+        checkOnly(programs::RedBlackTree, Opts, Prog).hasValue());
+  }
 }
 BENCHMARK(BM_Check_RedBlackTree_NoDerivations);
 
@@ -91,7 +106,7 @@ struct node { iso payload : data; iso next : node?; }
 void BM_Check_Scaling(benchmark::State &State) {
   std::string Source = scaledProgram(static_cast<int>(State.range(0)));
   for (auto _ : State)
-    benchmark::DoNotOptimize(compile(Source).hasValue());
+    benchmark::DoNotOptimize(buildArtifact(Source).hasValue());
   State.counters["functions"] =
       static_cast<double>(2 * State.range(0));
 }
@@ -128,12 +143,12 @@ void BM_Unify_Oracle(benchmark::State &State) {
   Opts.EmitDerivations = false;
   size_t Candidates = 0;
   for (auto _ : State) {
-    Expected<Pipeline> P = compile(Source, Opts, false);
+    std::optional<Program> Prog;
+    Expected<CheckedProgram> P = checkOnly(Source, Opts, Prog);
     if (!P)
       State.SkipWithError(P.error().Message.c_str());
     else
-      Candidates = P->Checked.Functions.begin()
-                       ->second.Stats.UnifyCandidates;
+      Candidates = P->Functions.begin()->second.Stats.UnifyCandidates;
   }
   State.counters["candidates"] = static_cast<double>(Candidates);
 }
@@ -147,12 +162,12 @@ void BM_Unify_NaiveSearch(benchmark::State &State) {
   Opts.UnifySearchLimit = 1 << 20;
   size_t Candidates = 0;
   for (auto _ : State) {
-    Expected<Pipeline> P = compile(Source, Opts, false);
+    std::optional<Program> Prog;
+    Expected<CheckedProgram> P = checkOnly(Source, Opts, Prog);
     if (!P)
       State.SkipWithError(P.error().Message.c_str());
     else
-      Candidates = P->Checked.Functions.begin()
-                       ->second.Stats.UnifyCandidates;
+      Candidates = P->Functions.begin()->second.Stats.UnifyCandidates;
   }
   State.counters["candidates"] = static_cast<double>(Candidates);
 }
@@ -163,15 +178,15 @@ BENCHMARK(BM_Unify_NaiveSearch)->DenseRange(2, 12, 2);
 //===----------------------------------------------------------------------===//
 
 void BM_Verify_RedBlackTree(benchmark::State &State) {
-  Expected<Pipeline> P =
-      compile(programs::RedBlackTree, CheckerOptions{}, /*Verify=*/false);
+  std::optional<Program> Prog;
+  Expected<CheckedProgram> P = checkOnly(programs::RedBlackTree, {}, Prog);
   if (!P) {
     State.SkipWithError(P.error().Message.c_str());
     return;
   }
   size_t Steps = 0;
   for (auto _ : State) {
-    Expected<VerifyStats> Stats = verifyProgram(P->Checked);
+    Expected<VerifyStats> Stats = verifyProgram(*P);
     if (!Stats) {
       State.SkipWithError(Stats.error().Message.c_str());
       return;
@@ -183,15 +198,15 @@ void BM_Verify_RedBlackTree(benchmark::State &State) {
 BENCHMARK(BM_Verify_RedBlackTree);
 
 void BM_Verify_DllSuite(benchmark::State &State) {
-  Expected<Pipeline> P =
-      compile(programs::DllSuite, CheckerOptions{}, /*Verify=*/false);
+  std::optional<Program> Prog;
+  Expected<CheckedProgram> P = checkOnly(programs::DllSuite, {}, Prog);
   if (!P) {
     State.SkipWithError(P.error().Message.c_str());
     return;
   }
   size_t Steps = 0;
   for (auto _ : State) {
-    Expected<VerifyStats> Stats = verifyProgram(P->Checked);
+    Expected<VerifyStats> Stats = verifyProgram(*P);
     if (!Stats) {
       State.SkipWithError(Stats.error().Message.c_str());
       return;

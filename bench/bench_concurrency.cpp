@@ -12,7 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "concurrency/ParallelExec.h"
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 #include "runtime/Machine.h"
 #include "support/FaultInjector.h"
 
@@ -44,18 +44,19 @@ void exportMetrics(benchmark::State &State, const RuntimeMetrics &M) {
 }
 
 void BM_ParallelItemPipeline(benchmark::State &State) {
-  Expected<Pipeline> P = compile(programs::MessagePassing);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
+  auto Built = buildArtifact(programs::MessagePassing);
+  if (!Built) {
+    State.SkipWithError(Built.error().Message.c_str());
     return;
   }
+  const Pipeline &P = (*Built)->P;
   int Producers = static_cast<int>(State.range(0));
   const int PerProducer = 2000;
-  Symbol Producer = P->Prog->Names.intern("producer");
-  Symbol Consumer = P->Prog->Names.intern("consumer");
+  Symbol Producer = P.Prog->Names.intern("producer");
+  Symbol Consumer = P.Prog->Names.intern("consumer");
   RuntimeMetrics LastRun;
   for (auto _ : State) {
-    ParallelExec Exec(P->Checked);
+    ParallelExec Exec(P.Checked);
     for (int I = 0; I < Producers; ++I)
       Exec.spawn(Producer, {Value::intVal(PerProducer)});
     Exec.spawn(Consumer, {Value::intVal(Producers * PerProducer)});
@@ -74,19 +75,20 @@ void BM_ParallelItemPipeline(benchmark::State &State) {
 BENCHMARK(BM_ParallelItemPipeline)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ParallelListPipeline(benchmark::State &State) {
-  Expected<Pipeline> P = compile(programs::MessagePassing);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
+  auto Built = buildArtifact(programs::MessagePassing);
+  if (!Built) {
+    State.SkipWithError(Built.error().Message.c_str());
     return;
   }
+  const Pipeline &P = (*Built)->P;
   int Producers = static_cast<int>(State.range(0));
   const int Lists = 200;
   const int Chunk = 32;
-  Symbol Producer = P->Prog->Names.intern("producer_lists");
-  Symbol Consumer = P->Prog->Names.intern("consumer_lists");
+  Symbol Producer = P.Prog->Names.intern("producer_lists");
+  Symbol Consumer = P.Prog->Names.intern("consumer_lists");
   RuntimeMetrics LastRun;
   for (auto _ : State) {
-    ParallelExec Exec(P->Checked);
+    ParallelExec Exec(P.Checked);
     for (int I = 0; I < Producers; ++I)
       Exec.spawn(Producer, {Value::intVal(Lists), Value::intVal(Chunk)});
     Exec.spawn(Consumer, {Value::intVal(Producers * Lists)});
@@ -107,17 +109,18 @@ BENCHMARK(BM_ParallelListPipeline)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 /// Baseline: the same single-item pipeline on the deterministic abstract
 /// machine (checks on, one interpreter, no parallelism).
 void BM_AbstractMachineItemPipeline(benchmark::State &State) {
-  Expected<Pipeline> P = compile(programs::MessagePassing);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
+  auto Built = buildArtifact(programs::MessagePassing);
+  if (!Built) {
+    State.SkipWithError(Built.error().Message.c_str());
     return;
   }
+  const Pipeline &P = (*Built)->P;
   const int Items = 2000;
-  Symbol Producer = P->Prog->Names.intern("producer");
-  Symbol Consumer = P->Prog->Names.intern("consumer");
+  Symbol Producer = P.Prog->Names.intern("producer");
+  Symbol Consumer = P.Prog->Names.intern("consumer");
   RuntimeMetrics LastRun;
   for (auto _ : State) {
-    Machine M(P->Checked);
+    Machine M(P.Checked);
     M.spawn(Producer, {Value::intVal(Items)});
     M.spawn(Consumer, {Value::intVal(Items)});
     Expected<MachineSummary> R = M.run();
@@ -143,12 +146,13 @@ BENCHMARK(BM_AbstractMachineItemPipeline);
 /// FEARLESS_TRACE_ITEMS overrides the per-producer item count (default
 /// 500; docs/trace_example.json was captured with 50 to keep it small).
 int writeTracedPipeline(const char *Path) {
-  Expected<Pipeline> P = compile(programs::MessagePassing);
-  if (!P) {
+  auto Built = buildArtifact(programs::MessagePassing);
+  if (!Built) {
     std::fprintf(stderr, "bench_concurrency: trace workload: %s\n",
-                 P.error().Message.c_str());
+                 Built.error().Message.c_str());
     return 1;
   }
+  const Pipeline &P = (*Built)->P;
   const int Producers = 4;
   int PerProducer = 500;
   if (const char *Items = std::getenv("FEARLESS_TRACE_ITEMS"))
@@ -156,9 +160,9 @@ int writeTracedPipeline(const char *Path) {
   TraceSession Trace;
   ParallelExecOptions Opts;
   Opts.Trace = &Trace;
-  ParallelExec Exec(P->Checked, Opts);
-  Symbol Producer = P->Prog->Names.intern("producer");
-  Symbol Consumer = P->Prog->Names.intern("consumer");
+  ParallelExec Exec(P.Checked, Opts);
+  Symbol Producer = P.Prog->Names.intern("producer");
+  Symbol Consumer = P.Prog->Names.intern("consumer");
   for (int I = 0; I < Producers; ++I)
     Exec.spawn(Producer, {Value::intVal(PerProducer)});
   Exec.spawn(Consumer, {Value::intVal(Producers * PerProducer)});
@@ -199,23 +203,24 @@ int runChaosPipeline() {
                                     : FaultError.c_str());
     return 1;
   }
-  Expected<Pipeline> P = compile(programs::MessagePassing);
-  if (!P) {
+  auto Built = buildArtifact(programs::MessagePassing);
+  if (!Built) {
     std::fprintf(stderr, "bench_concurrency: chaos workload: %s\n",
-                 P.error().Message.c_str());
+                 Built.error().Message.c_str());
     return 1;
   }
+  const Pipeline &P = (*Built)->P;
   const int Producers = 2;
   const int PerProducer = 200;
   auto Spawn = [&](ParallelExec &Exec) {
-    Symbol Producer = P->Prog->Names.intern("producer");
-    Symbol Consumer = P->Prog->Names.intern("consumer");
+    Symbol Producer = P.Prog->Names.intern("producer");
+    Symbol Consumer = P.Prog->Names.intern("consumer");
     for (int I = 0; I < Producers; ++I)
       Exec.spawn(Producer, {Value::intVal(PerProducer)});
     Exec.spawn(Consumer, {Value::intVal(Producers * PerProducer)});
   };
 
-  ParallelExec Baseline(P->Checked);
+  ParallelExec Baseline(P.Checked);
   Spawn(Baseline);
   Expected<std::vector<Value>> Want = Baseline.run();
   if (!Want) {
@@ -233,7 +238,7 @@ int runChaosPipeline() {
   // Safety net: a supervision or shutdown bug becomes a diagnostic, not
   // a hung CI job.
   Opts.WatchdogMillis = 60'000;
-  ParallelExec Exec(P->Checked, Opts);
+  ParallelExec Exec(P.Checked, Opts);
   Spawn(Exec);
   Expected<std::vector<Value>> R = Exec.run();
   const RuntimeMetrics &M = Exec.metrics();

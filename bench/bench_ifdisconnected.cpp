@@ -24,7 +24,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/StaticDisconnect.h"
-#include "checker/Checker.h"
+#include "driver/CompilePipeline.h"
 #include "parser/Parser.h"
 #include "runtime/Disconnected.h"
 #include "runtime/Heap.h"
@@ -200,13 +200,12 @@ BENCHMARK(BM_RefCount_DetachSubgraph)
 /// analysis classifies as must-disconnected, plus its verdict table —
 /// the exact inputs the interpreter's elision path consults.
 struct ElisionOracle {
-  FrontendResult Front;
-  AnalysisReport Report;
-  DisconnectVerdictTable Table;
+  std::shared_ptr<const CompiledArtifact> Artifact;
+  const DisconnectVerdictTable *Table = nullptr;
   const Expr *Site = nullptr;
 
   ElisionOracle() {
-    auto FR = checkSource(R"(
+    auto A = buildArtifact(R"(
 struct gnode { next : gnode; }
 
 def detach(unused : int) : int {
@@ -217,20 +216,20 @@ def detach(unused : int) : int {
   if disconnected(a, b) { 1 } else { 0 }
 }
 )");
-    if (!FR) {
+    if (!A) {
       std::fprintf(stderr, "elision workload failed to check: %s\n",
-                   FR.error().render().c_str());
+                   A.error().render().c_str());
       std::abort();
     }
-    Front = std::move(*FR);
-    Report = analyzeProgram(Front.Checked);
-    Table = Report.verdictTable();
+    Artifact = *A;
+    const AnalysisReport &Report = Artifact->Report;
     if (Report.Sites.size() != 1 ||
         Report.Sites[0].Verdict != DisconnectVerdict::MustDisconnected) {
       std::fprintf(stderr,
                    "elision workload is not must-disconnected\n");
       std::abort();
     }
+    Table = &Artifact->Verdicts;
     Site = Report.Sites[0].Site;
   }
 };
@@ -247,8 +246,8 @@ void BM_Elided_DetachSubgraph(benchmark::State &State) {
   DisconnectOutcome Warm{};
   uint64_t AllocsBefore = GHeapAllocs.load(std::memory_order_relaxed);
   for (auto _ : State) {
-    auto It = Oracle.Table.find(Oracle.Site);
-    bool Disc = It != Oracle.Table.end() &&
+    auto It = Oracle.Table->find(Oracle.Site);
+    bool Disc = It != Oracle.Table->end() &&
                 It->second == DisconnectVerdict::MustDisconnected;
     benchmark::DoNotOptimize(Disc);
   }

@@ -29,7 +29,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 #include "mc/Dpor.h"
 #include "mc/Replay.h"
 #include "runtime/Machine.h"
@@ -43,17 +43,17 @@ namespace {
 constexpr int64_t PipelineCount = 3;
 constexpr uint64_t NaiveBudget = 500;
 
-Pipeline &pipeline() {
-  static Pipeline P = []() {
-    Expected<Pipeline> R = compile(programs::MessagePassing);
+const Pipeline &pipeline() {
+  static const std::shared_ptr<const CompiledArtifact> A = [] {
+    auto R = buildArtifact(programs::MessagePassing);
     if (!R)
       std::abort();
-    return std::move(*R);
+    return *R;
   }();
-  return P;
+  return A->P;
 }
 
-std::unique_ptr<Machine> freshMachine(Pipeline &P) {
+std::unique_ptr<Machine> freshMachine(const Pipeline &P) {
   auto M = std::make_unique<Machine>(P.Checked);
   M->spawn(P.Prog->Names.intern("producer"),
            {Value::intVal(PipelineCount)});
@@ -62,7 +62,7 @@ std::unique_ptr<Machine> freshMachine(Pipeline &P) {
   return M;
 }
 
-mc::McReport exploreOnce(Pipeline &P, bool UseDpor, uint64_t Budget) {
+mc::McReport exploreOnce(const Pipeline &P, bool UseDpor, uint64_t Budget) {
   mc::McOptions Opts;
   Opts.UseDpor = UseDpor;
   Opts.MaxSchedules = Budget;
@@ -74,7 +74,7 @@ mc::McReport exploreOnce(Pipeline &P, bool UseDpor, uint64_t Budget) {
 }
 
 void BM_Mc_DporExplore(benchmark::State &State) {
-  Pipeline &P = pipeline();
+  const Pipeline &P = pipeline();
   // One-time naive reference for the pruning-ratio counter: naive DFS
   // burns the whole budget without finishing the space DPOR exhausts.
   mc::McReport Naive = exploreOnce(P, /*UseDpor=*/false, NaiveBudget);
@@ -95,7 +95,7 @@ void BM_Mc_DporExplore(benchmark::State &State) {
 BENCHMARK(BM_Mc_DporExplore)->Unit(benchmark::kMillisecond);
 
 void BM_Mc_NaiveDfs(benchmark::State &State) {
-  Pipeline &P = pipeline();
+  const Pipeline &P = pipeline();
   mc::McReport Last;
   for (auto _ : State) {
     Last = exploreOnce(P, /*UseDpor=*/false, NaiveBudget);
@@ -109,7 +109,7 @@ void BM_Mc_NaiveDfs(benchmark::State &State) {
 BENCHMARK(BM_Mc_NaiveDfs)->Unit(benchmark::kMillisecond);
 
 void BM_Mc_DirectRun(benchmark::State &State) {
-  Pipeline &P = pipeline();
+  const Pipeline &P = pipeline();
   uint64_t Steps = 0;
   for (auto _ : State) {
     std::unique_ptr<Machine> M = freshMachine(P);
@@ -125,7 +125,7 @@ void BM_Mc_DirectRun(benchmark::State &State) {
 BENCHMARK(BM_Mc_DirectRun);
 
 void BM_Mc_ScheduleReplay(benchmark::State &State) {
-  Pipeline &P = pipeline();
+  const Pipeline &P = pipeline();
   // Record seed 7's interleaving once; every iteration replays it from
   // the schedule, so the delta vs BM_Mc_DirectRun is pure replay
   // machinery (choice lookups instead of xorshift picks).

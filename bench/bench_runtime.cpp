@@ -12,7 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 #include "runtime/Machine.h"
 
 #include <benchmark/benchmark.h>
@@ -55,17 +55,18 @@ def drive(n : int) : int {
 
 void runWorkload(benchmark::State &State, const std::string &Source,
                  std::vector<Value> Args, bool Checks) {
-  Expected<Pipeline> P = compile(Source);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
+  auto Built = buildArtifact(Source);
+  if (!Built) {
+    State.SkipWithError(Built.error().Message.c_str());
     return;
   }
-  Symbol Drive = P->Prog->Names.intern("drive");
+  const Pipeline &P = (*Built)->P;
+  Symbol Drive = P.Prog->Names.intern("drive");
   uint64_t Steps = 0;
   for (auto _ : State) {
     MachineOptions Opts;
     Opts.CheckReservations = Checks;
-    Machine M(P->Checked, Opts);
+    Machine M(P.Checked, Opts);
     M.spawn(Drive, Args);
     Expected<MachineSummary> R = M.run();
     if (!R) {

@@ -21,7 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "concurrency/ParallelExec.h"
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 
 #include <benchmark/benchmark.h>
 
@@ -141,19 +141,20 @@ void exportSchedMetrics(benchmark::State &State, const RuntimeMetrics &M) {
 /// sink, run on the fixed default pool (min(2x hardware threads, task
 /// count)). items_per_second reads as language tasks retired per second.
 void BM_TokenRing(benchmark::State &State) {
-  Expected<Pipeline> P = compile(RingProgram);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
+  auto Built = buildArtifact(RingProgram);
+  if (!Built) {
+    State.SkipWithError(Built.error().Message.c_str());
     return;
   }
+  const Pipeline &P = (*Built)->P;
   const int64_t Hops = State.range(0);
-  Symbol Hop = P->Prog->Names.intern("hop");
-  Symbol Sink = P->Prog->Names.intern("sink");
+  Symbol Hop = P.Prog->Names.intern("hop");
+  Symbol Sink = P.Prog->Names.intern("sink");
   RuntimeMetrics LastRun;
   for (auto _ : State) {
     ParallelExecOptions Opts;
     Opts.WatchdogMillis = 300'000; // a scheduler hang fails, not wedges
-    ParallelExec Exec(P->Checked, Opts);
+    ParallelExec Exec(P.Checked, Opts);
     for (int64_t I = 0; I < Hops; ++I)
       Exec.spawn(Hop);
     Exec.spawn(Sink, {Value::intVal(Hops)});
@@ -179,19 +180,20 @@ BENCHMARK(BM_TokenRing)->Arg(100'000)->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FanIn(benchmark::State &State) {
-  Expected<Pipeline> P = compile(FanProgram);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
+  auto Built = buildArtifact(FanProgram);
+  if (!Built) {
+    State.SkipWithError(Built.error().Message.c_str());
     return;
   }
+  const Pipeline &P = (*Built)->P;
   const int64_t Senders = State.range(0);
-  Symbol Shot = P->Prog->Names.intern("shot");
-  Symbol Gather = P->Prog->Names.intern("gather");
+  Symbol Shot = P.Prog->Names.intern("shot");
+  Symbol Gather = P.Prog->Names.intern("gather");
   RuntimeMetrics LastRun;
   for (auto _ : State) {
     ParallelExecOptions Opts;
     Opts.WatchdogMillis = 300'000;
-    ParallelExec Exec(P->Checked, Opts);
+    ParallelExec Exec(P.Checked, Opts);
     for (int64_t I = 0; I < Senders; ++I)
       Exec.spawn(Shot);
     Exec.spawn(Gather, {Value::intVal(Senders)});
@@ -213,19 +215,20 @@ BENCHMARK(BM_FanIn)->Arg(1'000)->Arg(10'000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FanOut(benchmark::State &State) {
-  Expected<Pipeline> P = compile(FanProgram);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
+  auto Built = buildArtifact(FanProgram);
+  if (!Built) {
+    State.SkipWithError(Built.error().Message.c_str());
     return;
   }
+  const Pipeline &P = (*Built)->P;
   const int64_t Receivers = State.range(0);
-  Symbol Scatter = P->Prog->Names.intern("scatter");
-  Symbol Take = P->Prog->Names.intern("take");
+  Symbol Scatter = P.Prog->Names.intern("scatter");
+  Symbol Take = P.Prog->Names.intern("take");
   RuntimeMetrics LastRun;
   for (auto _ : State) {
     ParallelExecOptions Opts;
     Opts.WatchdogMillis = 300'000;
-    ParallelExec Exec(P->Checked, Opts);
+    ParallelExec Exec(P.Checked, Opts);
     Exec.spawn(Scatter, {Value::intVal(Receivers)});
     for (int64_t I = 0; I < Receivers; ++I)
       Exec.spawn(Take);
@@ -244,7 +247,7 @@ BENCHMARK(BM_FanOut)->Arg(1'000)->Arg(10'000)
 
 /// Runs a two-task ping-pong of \p Exchanges round trips and returns the
 /// C++ heap allocations the whole run performed.
-uint64_t pingPongAllocs(Pipeline &P, int64_t Exchanges) {
+uint64_t pingPongAllocs(const Pipeline &P, int64_t Exchanges) {
   ParallelExecOptions Opts;
   Opts.WatchdogMillis = 300'000;
   ParallelExec Exec(P.Checked, Opts);
@@ -265,14 +268,15 @@ uint64_t pingPongAllocs(Pipeline &P, int64_t Exchanges) {
 /// The acceptance bar is 0: both the park (intrusive waiter) and the
 /// unpark (handoff + fixed-capacity inject ring) are allocation-free.
 void BM_PingPongParkUnpark(benchmark::State &State) {
-  Expected<Pipeline> P = compile(FanProgram);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
+  auto Built = buildArtifact(FanProgram);
+  if (!Built) {
+    State.SkipWithError(Built.error().Message.c_str());
     return;
   }
+  const Pipeline &P = (*Built)->P;
   const int64_t N1 = 2'000, N2 = 10'000;
-  uint64_t A1 = pingPongAllocs(*P, N1);
-  uint64_t A2 = pingPongAllocs(*P, N2);
+  uint64_t A1 = pingPongAllocs(P, N1);
+  uint64_t A2 = pingPongAllocs(P, N2);
   if (A1 == UINT64_MAX || A2 == UINT64_MAX) {
     State.SkipWithError("ping-pong run failed");
     return;
@@ -282,13 +286,13 @@ void BM_PingPongParkUnpark(benchmark::State &State) {
       static_cast<double>(N2 - N1);
 
   const int64_t Exchanges = State.range(0);
-  Symbol Ping = P->Prog->Names.intern("ping");
-  Symbol Pong = P->Prog->Names.intern("pong");
+  Symbol Ping = P.Prog->Names.intern("ping");
+  Symbol Pong = P.Prog->Names.intern("pong");
   RuntimeMetrics LastRun;
   for (auto _ : State) {
     ParallelExecOptions Opts;
     Opts.WatchdogMillis = 300'000;
-    ParallelExec Exec(P->Checked, Opts);
+    ParallelExec Exec(P.Checked, Opts);
     Exec.spawn(Ping, {Value::intVal(Exchanges)});
     Exec.spawn(Pong, {Value::intVal(Exchanges)});
     Expected<std::vector<Value>> R = Exec.run();
@@ -317,19 +321,21 @@ BENCHMARK(BM_PingPongParkUnpark)->Arg(10'000)
 /// park/unpark round trip.
 int runSchedSmoke(const char *Spec) {
   int64_t Hops = std::max<int64_t>(1, std::atoll(Spec));
-  Expected<Pipeline> Ring = compile(RingProgram);
-  Expected<Pipeline> Fan = compile(FanProgram);
-  if (!Ring || !Fan) {
+  auto RingBuilt = buildArtifact(RingProgram);
+  auto FanBuilt = buildArtifact(FanProgram);
+  if (!RingBuilt || !FanBuilt) {
     std::fprintf(stderr, "bench_scheduler: smoke compile failed\n");
     return 1;
   }
+  const Pipeline &Ring = (*RingBuilt)->P;
+  const Pipeline &Fan = (*FanBuilt)->P;
   ParallelExecOptions Opts;
   Opts.WatchdogMillis = 300'000;
-  ParallelExec Exec(Ring->Checked, Opts);
-  Symbol Hop = Ring->Prog->Names.intern("hop");
+  ParallelExec Exec(Ring.Checked, Opts);
+  Symbol Hop = Ring.Prog->Names.intern("hop");
   for (int64_t I = 0; I < Hops; ++I)
     Exec.spawn(Hop);
-  Exec.spawn(Ring->Prog->Names.intern("sink"), {Value::intVal(Hops)});
+  Exec.spawn(Ring.Prog->Names.intern("sink"), {Value::intVal(Hops)});
   Expected<std::vector<Value>> R = Exec.run();
   if (!R) {
     std::fprintf(stderr, "bench_scheduler: smoke ring failed: %s\n",
@@ -342,8 +348,8 @@ int runSchedSmoke(const char *Spec) {
   }
   const RuntimeMetrics &M = Exec.metrics();
 
-  uint64_t A1 = pingPongAllocs(*Fan, 2'000);
-  uint64_t A2 = pingPongAllocs(*Fan, 10'000);
+  uint64_t A1 = pingPongAllocs(Fan, 2'000);
+  uint64_t A2 = pingPongAllocs(Fan, 10'000);
   if (A1 == UINT64_MAX || A2 == UINT64_MAX) {
     std::fprintf(stderr, "bench_scheduler: smoke ping-pong failed\n");
     return 1;

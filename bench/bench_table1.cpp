@@ -22,7 +22,7 @@
 
 #include "baselines/AffineChecker.h"
 #include "baselines/GlobalDomChecker.h"
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 #include "parser/Parser.h"
 
 #include <benchmark/benchmark.h>
@@ -107,8 +107,8 @@ Cells globalDomRow() {
 
 Cells thisPaperRow() {
   Cells Row{"This paper", false, false, ""};
-  Row.Sll = compile(programs::SllSuite).hasValue();
-  Row.DllRepr = compile(programs::DllSuite).hasValue();
+  Row.Sll = buildArtifact(programs::SllSuite).hasValue();
+  Row.DllRepr = buildArtifact(programs::DllSuite).hasValue();
   auto Sll = parseOrDie(programs::SllSuite);
   auto Dll = parseOrDie(programs::DllSuite);
   size_t SllCount = countAnnotations(*Sll);
@@ -159,13 +159,13 @@ BENCHMARK(BM_Table1_GlobalDomSll);
 
 void BM_Table1_ThisPaperSll(benchmark::State &State) {
   for (auto _ : State)
-    benchmark::DoNotOptimize(compile(programs::SllSuite).hasValue());
+    benchmark::DoNotOptimize(buildArtifact(programs::SllSuite).hasValue());
 }
 BENCHMARK(BM_Table1_ThisPaperSll);
 
 void BM_Table1_ThisPaperDll(benchmark::State &State) {
   for (auto _ : State)
-    benchmark::DoNotOptimize(compile(programs::DllSuite).hasValue());
+    benchmark::DoNotOptimize(buildArtifact(programs::DllSuite).hasValue());
 }
 BENCHMARK(BM_Table1_ThisPaperDll);
 

@@ -23,7 +23,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 #include "runtime/Machine.h"
 #include "support/Trace.h"
 
@@ -177,13 +177,13 @@ def drive(n : int) : int {
 )prog";
 
 void runMachineWorkload(benchmark::State &State, bool Traced) {
-  Expected<Pipeline> P =
-      compile(std::string(programs::DllSuite) + DllDriver);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
+  auto Built = buildArtifact(std::string(programs::DllSuite) + DllDriver);
+  if (!Built) {
+    State.SkipWithError(Built.error().Message.c_str());
     return;
   }
-  Symbol Drive = P->Prog->Names.intern("drive");
+  const Pipeline &P = (*Built)->P;
+  Symbol Drive = P.Prog->Names.intern("drive");
   uint64_t Steps = 0;
   for (auto _ : State) {
     // The session (buffer registration + teardown) is part of what
@@ -198,7 +198,7 @@ void runMachineWorkload(benchmark::State &State, bool Traced) {
     MachineOptions Opts;
     if (Traced)
       Opts.Trace = &Trace;
-    Machine M(P->Checked, Opts);
+    Machine M(P.Checked, Opts);
     M.spawn(Drive, {Value::intVal(State.range(0))});
     Expected<MachineSummary> R = M.run();
     if (!R) {

@@ -40,7 +40,7 @@ void operator delete(void *P, std::size_t) noexcept { std::free(P); }
 void operator delete[](void *P) noexcept { std::free(P); }
 void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 #include "runtime/Machine.h"
 #include "vm/Compiler.h"
 
@@ -85,29 +85,23 @@ def drive(n, rounds : int) : int {
 
 void runWorkload(benchmark::State &State, const std::string &Source,
                  std::vector<Value> Args, Engine E) {
-  Expected<Pipeline> P = compile(Source);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
+  PipelineOptions PO;
+  PO.Engine = E == Engine::Interp ? "interp" : "vm";
+  PO.EmitChecks = E == Engine::VmChecked;
+  PO.Elide = false; // every `if disconnected` traverses
+  auto Built = buildArtifact(Source, PO);
+  if (!Built) {
+    State.SkipWithError(Built.error().Message.c_str());
     return;
   }
-  vm::CompiledProgram Code;
-  if (E != Engine::Interp) {
-    vm::CompileOptions VO;
-    VO.EmitChecks = E == Engine::VmChecked;
-    Expected<vm::CompiledProgram> C = vm::compileProgram(P->Checked, VO);
-    if (!C) {
-      State.SkipWithError(C.error().Message.c_str());
-      return;
-    }
-    Code = std::move(*C);
-  }
-  Symbol Drive = P->Prog->Names.intern("drive");
+  const Pipeline &P = (*Built)->P;
+  Symbol Drive = P.Prog->Names.intern("drive");
   RuntimeMetrics Last;
   for (auto _ : State) {
     MachineOptions Opts;
-    if (E != Engine::Interp)
-      Opts.VmCode = &Code;
-    Machine M(P->Checked, Opts);
+    if ((*Built)->VmCode)
+      Opts.VmCode = &*(*Built)->VmCode;
+    Machine M(P.Checked, Opts);
     M.spawn(Drive, Args);
     Expected<MachineSummary> R = M.run();
     if (!R) {
@@ -169,7 +163,7 @@ void BM_SllWalk_VmErased(benchmark::State &State) {
 BENCHMARK(BM_SllWalk_VmErased)->Arg(64)->Arg(256)->Arg(1024);
 
 /// Allocation count of one erased-VM spin run (UINT64_MAX on failure).
-uint64_t spinAllocs(Pipeline &P, const vm::CompiledProgram &Code,
+uint64_t spinAllocs(const Pipeline &P, const vm::CompiledProgram &Code,
                     int64_t N) {
   MachineOptions Opts;
   Opts.VmCode = &Code;
@@ -189,20 +183,20 @@ uint64_t spinAllocs(Pipeline &P, const vm::CompiledProgram &Code,
 /// The acceptance bar is 0 — registers live in a preallocated file and
 /// the hot loop never touches the allocator.
 void BM_VmDispatchAllocs(benchmark::State &State) {
-  Expected<Pipeline> P = compile(SpinProgram);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
+  PipelineOptions PO;
+  PO.EmitChecks = false;
+  PO.Elide = false;
+  auto Built = buildArtifact(SpinProgram, PO);
+  if (!Built) {
+    State.SkipWithError(Built.error().Message.c_str());
     return;
   }
-  Expected<vm::CompiledProgram> Code = vm::compileProgram(P->Checked);
-  if (!Code) {
-    State.SkipWithError(Code.error().Message.c_str());
-    return;
-  }
+  const Pipeline &P = (*Built)->P;
+  const vm::CompiledProgram *Code = &*(*Built)->VmCode;
   double AllocsPerIter = 0;
   for (auto _ : State) {
-    uint64_t Small = spinAllocs(*P, *Code, 4000);
-    uint64_t Large = spinAllocs(*P, *Code, 16000);
+    uint64_t Small = spinAllocs(P, *Code, 4000);
+    uint64_t Large = spinAllocs(P, *Code, 16000);
     if (Small == UINT64_MAX || Large == UINT64_MAX) {
       State.SkipWithError("spin workload failed");
       return;

@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 #include "runtime/Machine.h"
 
 #include <cstdio>
@@ -57,14 +57,15 @@ def demo(n : int) : int {
 
 int runDemo(const char *Suite, const char *Driver, const char *Name,
             int64_t Arg) {
-  Expected<Pipeline> P = compile(std::string(Suite) + Driver);
-  if (!P) {
+  auto Built = buildArtifact(std::string(Suite) + Driver);
+  if (!Built) {
     std::printf("%s failed to check: %s\n", Name,
-                P.error().render().c_str());
+                Built.error().render().c_str());
     return -1;
   }
-  Machine M(P->Checked);
-  M.spawn(P->Prog->Names.intern("demo"), {Value::intVal(Arg)});
+  const Pipeline &P = (*Built)->P;
+  Machine M(P.Checked);
+  M.spawn(P.Prog->Names.intern("demo"), {Value::intVal(Arg)});
   Expected<MachineSummary> R = M.run();
   if (!R) {
     std::printf("%s failed at runtime: %s\n", Name,
@@ -90,7 +91,7 @@ int main() {
   runDemo(programs::DllSuite, DllDriver, "dll demo", 1);
 
   std::printf("\n== Fig. 4: the broken remove_tail is rejected ==\n");
-  Expected<Pipeline> Broken = compile(programs::DllBrokenRemoveTail);
+  auto Broken = buildArtifact(programs::DllBrokenRemoveTail);
   if (Broken) {
     std::printf("ERROR: the broken program was accepted!\n");
     return 1;

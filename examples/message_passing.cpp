@@ -19,7 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "concurrency/ParallelExec.h"
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 #include "runtime/Machine.h"
 
 #include <chrono>
@@ -28,18 +28,19 @@
 using namespace fearless;
 
 int main() {
-  Expected<Pipeline> P = compile(programs::MessagePassing);
-  if (!P) {
-    std::printf("compilation failed: %s\n", P.error().render().c_str());
+  auto Built = buildArtifact(programs::MessagePassing);
+  if (!Built) {
+    std::printf("compilation failed: %s\n", Built.error().render().c_str());
     return 1;
   }
-  Symbol Producer = P->Prog->Names.intern("producer_lists");
-  Symbol Relay = P->Prog->Names.intern("relay");
-  Symbol Consumer = P->Prog->Names.intern("consumer_lists");
+  const Pipeline &P = (*Built)->P;
+  Symbol Producer = P.Prog->Names.intern("producer_lists");
+  Symbol Relay = P.Prog->Names.intern("relay");
+  Symbol Consumer = P.Prog->Names.intern("consumer_lists");
 
   std::printf("== abstract machine: producer -> relay -> consumer ==\n");
   {
-    Machine M(P->Checked);
+    Machine M(P.Checked);
     M.spawn(Producer, {Value::intVal(5), Value::intVal(10)});
     M.spawn(Relay, {Value::intVal(5)});
     M.spawn(Consumer, {Value::intVal(5)});
@@ -58,7 +59,7 @@ int main() {
 
   std::printf("\n== real threads, checks erased, no object locks ==\n");
   {
-    ParallelExec Exec(P->Checked);
+    ParallelExec Exec(P.Checked);
     const int Pipelines = 4;
     const int Lists = 200;
     for (int I = 0; I < Pipelines; ++I)

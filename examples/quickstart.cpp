@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 #include "runtime/Machine.h"
 
 #include <cstdio>
@@ -46,30 +46,32 @@ def main() : int {
 }
 )prog";
 
-  // 1. Parse + resolve + region-check + verify the derivations.
-  Expected<Pipeline> Compiled = compile(Source);
-  if (!Compiled) {
+  // 1. Parse + resolve + region-check + verify the derivations (the
+  //    artifact also carries the static analysis and the bytecode).
+  auto Artifact = buildArtifact(Source);
+  if (!Artifact) {
     std::printf("compilation failed: %s\n",
-                Compiled.error().render().c_str());
+                Artifact.error().render().c_str());
     return 1;
   }
+  const Pipeline &Compiled = (*Artifact)->P;
   std::printf("checked %zu functions; verifier re-checked %zu derivation "
               "steps (%zu virtual transformations)\n",
-              Compiled->Checked.Functions.size(),
-              Compiled->Verified.StepsChecked,
-              Compiled->Verified.VirtualStepsChecked);
+              Compiled.Checked.Functions.size(),
+              Compiled.Verified.StepsChecked,
+              Compiled.Verified.VirtualStepsChecked);
 
   // 2. Inspect an elaborated function type (§4.8).
-  Symbol Put = Compiled->Prog->Names.intern("put");
+  Symbol Put = Compiled.Prog->Names.intern("put");
   std::printf("put : %s\n",
-              toString(Compiled->Checked.Signatures.at(Put),
-                       Compiled->Prog->Names)
+              toString(Compiled.Checked.Signatures.at(Put),
+                       Compiled.Prog->Names)
                   .c_str());
 
   // 3. Run it. The dynamic reservation checks are on, and — per Theorems
   // 6.1/6.2 — will never fire.
-  Machine M(Compiled->Checked);
-  M.spawn(Compiled->Prog->Names.intern("main"));
+  Machine M(Compiled.Checked);
+  M.spawn(Compiled.Prog->Names.intern("main"));
   Expected<MachineSummary> Result = M.run();
   if (!Result) {
     std::printf("runtime error: %s\n", Result.error().render().c_str());

@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 #include "runtime/Machine.h"
 
 #include <cstdio>
@@ -51,20 +51,20 @@ def lookup_demo(count : int, probe : int) : bool {
 } // namespace
 
 int main() {
-  Expected<Pipeline> P =
-      compile(std::string(programs::RedBlackTree) + Driver);
-  if (!P) {
-    std::printf("compilation failed: %s\n", P.error().render().c_str());
+  auto Built = buildArtifact(std::string(programs::RedBlackTree) + Driver);
+  if (!Built) {
+    std::printf("compilation failed: %s\n", Built.error().render().c_str());
     return 1;
   }
-  Symbol Fixup = P->Prog->Names.intern("rb_fixup");
+  const Pipeline &P = (*Built)->P;
+  Symbol Fixup = P.Prog->Names.intern("rb_fixup");
   std::printf("rb_fixup : %s\n",
-              toString(P->Checked.Signatures.at(Fixup), P->Prog->Names)
+              toString(P.Checked.Signatures.at(Fixup), P.Prog->Names)
                   .c_str());
 
   for (int64_t Count : {10, 100, 1000}) {
-    Machine M(P->Checked);
-    M.spawn(P->Prog->Names.intern("demo"), {Value::intVal(Count)});
+    Machine M(P.Checked);
+    M.spawn(P.Prog->Names.intern("demo"), {Value::intVal(Count)});
     Expected<MachineSummary> R = M.run();
     if (!R) {
       std::printf("runtime error: %s\n", R.error().render().c_str());
@@ -85,8 +85,8 @@ int main() {
 
   // Membership probes.
   for (int64_t Probe : {9, 10}) {
-    Machine M(P->Checked);
-    M.spawn(P->Prog->Names.intern("lookup_demo"),
+    Machine M(P.Checked);
+    M.spawn(P.Prog->Names.intern("lookup_demo"),
             {Value::intVal(50), Value::intVal(Probe)});
     Expected<MachineSummary> R = M.run();
     if (!R) {

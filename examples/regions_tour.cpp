@@ -15,7 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 #include "runtime/Machine.h"
 
 #include <cstdio>
@@ -38,15 +38,16 @@ def giver(n : int) : int {
   if (sent) { trie_count(t) } else { -1 }
 }
 )prog";
-    Expected<Pipeline> P = compile(Source);
-    if (!P) {
+    auto Built = buildArtifact(Source);
+    if (!Built) {
       std::printf("trie failed to check: %s\n",
-                  P.error().render().c_str());
+                  Built.error().render().c_str());
       return 1;
     }
-    Machine M(P->Checked);
-    M.spawn(P->Prog->Names.intern("giver"), {Value::intVal(50)});
-    M.spawn(P->Prog->Names.intern("trie_recv_counter"), {});
+    const Pipeline &P = (*Built)->P;
+    Machine M(P.Checked);
+    M.spawn(P.Prog->Names.intern("giver"), {Value::intVal(50)});
+    M.spawn(P.Prog->Names.intern("trie_recv_counter"), {});
     Expected<MachineSummary> R = M.run();
     if (!R) {
       std::printf("trie runtime error: %s\n", R.error().render().c_str());
@@ -71,14 +72,15 @@ def drive(n : int) : int {
   queue_drain_sum(q)
 }
 )prog";
-    Expected<Pipeline> P = compile(Source);
-    if (!P) {
+    auto Built = buildArtifact(Source);
+    if (!Built) {
       std::printf("queue failed to check: %s\n",
-                  P.error().render().c_str());
+                  Built.error().render().c_str());
       return 1;
     }
-    Machine M(P->Checked);
-    M.spawn(P->Prog->Names.intern("drive"), {Value::intVal(100)});
+    const Pipeline &P = (*Built)->P;
+    Machine M(P.Checked);
+    M.spawn(P.Prog->Names.intern("drive"), {Value::intVal(100)});
     Expected<MachineSummary> R = M.run();
     if (!R) {
       std::printf("queue runtime error: %s\n",
@@ -92,13 +94,14 @@ def drive(n : int) : int {
 
   // --- Signatures at the boundary ------------------------------------------
   {
-    Expected<Pipeline> P = compile(programs::BitTrie);
-    if (!P)
+    auto Built = buildArtifact(programs::BitTrie);
+    if (!Built)
       return 1;
-    Symbol Insert = P->Prog->Names.intern("node_insert");
+    const Pipeline &P = (*Built)->P;
+    Symbol Insert = P.Prog->Names.intern("node_insert");
     std::printf("\nnode_insert : %s\n",
-                toString(P->Checked.Signatures.at(Insert),
-                         P->Prog->Names)
+                toString(P.Checked.Signatures.at(Insert),
+                         P.Prog->Names)
                     .c_str());
     std::printf("(each parameter in its own region; no annotations "
                 "needed anywhere in the trie)\n");

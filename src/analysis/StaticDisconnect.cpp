@@ -1319,6 +1319,13 @@ DisconnectVerdictTable AnalysisReport::verdictTable() const {
   return T;
 }
 
+std::array<size_t, 3> AnalysisReport::verdictCounts() const {
+  std::array<size_t, 3> Counts = {0, 0, 0};
+  for (const SiteReport &S : Sites)
+    ++Counts[static_cast<size_t>(S.Verdict)];
+  return Counts;
+}
+
 void interpretFunction(const CheckedProgram &CP, const CheckedFunction &Fn,
                        const SummaryTable *Summaries, FnEffects *Effects,
                        FnReport *Report) {
@@ -1554,78 +1561,20 @@ static std::string renderJson(const SourceAnalysis &Out, std::string_view Base,
   return OS.str();
 }
 
-SourceAnalysis analyzeSourceText(std::string_view Source,
-                                 std::string_view FileName,
-                                 const SourceAnalysisOptions &Opts) {
+SourceAnalysis renderAnalysis(const CheckedProgram &CP,
+                              const AnalysisReport &R,
+                              std::string_view FileName,
+                              const SourceAnalysisOptions &Opts) {
   SourceAnalysis Out;
   std::string Base = basenameOf(FileName);
-
-  DiagnosticEngine Diags;
-  auto ProgOpt = parseProgram(Source, Diags);
-  if (!ProgOpt) {
-    Out.HardError = true;
-    if (Opts.Json)
-      Out.Rendered = renderJson(Out, Base, Opts, nullptr, nullptr,
-                                "parsing failed");
-    else
-      Out.Rendered = Base + ": error: parsing failed\n" + Diags.renderAll();
-    return Out;
-  }
-  Program P = std::move(*ProgOpt);
-  StructTable Structs;
-  if (!Structs.build(P, Diags) || !resolveProgram(P, Structs, Diags)) {
-    Out.HardError = true;
-    if (Opts.Json)
-      Out.Rendered = renderJson(Out, Base, Opts, nullptr, nullptr,
-                                "resolution failed");
-    else
-      Out.Rendered = Base + ": error: resolution failed\n" + Diags.renderAll();
-    return Out;
-  }
+  const Program &P = *CP.Prog;
   Out.FunctionCount = P.Functions.size();
-
-  auto Checked = checkProgram(P);
-  if (!Checked) {
-    // The region checker rejected the program: fall back to the syntactic
-    // lints, which usually explain the misuse more directly.
-    auto Lints = lintProgram(P);
-    for (const AnalysisDiag &D : Lints)
-      if (isLintDiag(D.Kind))
-        ++Out.LintDiags;
-    std::string Error = "region check failed: " + Checked.error().Message +
-                        " at " + toString(Checked.error().Loc);
-    if (Opts.Json) {
-      AnalysisReport LintOnly;
-      LintOnly.Diags = std::move(Lints);
-      Out.Rendered =
-          renderJson(Out, Base, Opts, &LintOnly, &P.Names, Error);
-    } else {
-      Out.Rendered = Base + ": note: region check failed (" +
-                     Checked.error().Message + " at " +
-                     toString(Checked.error().Loc) +
-                     "); syntactic lints only\n" +
-                     renderDiags(Lints, FileName);
-    }
-    return Out;
-  }
   Out.CheckedOk = true;
-
-  AnalysisOptions AOpts;
-  AOpts.Interprocedural = Opts.Interprocedural;
-  AnalysisReport R = analyzeProgram(*Checked, AOpts);
-  for (const SiteReport &S : R.Sites) {
-    switch (S.Verdict) {
-    case DisconnectVerdict::MustDisconnected:
-      ++Out.MustDisconnectedSites;
-      break;
-    case DisconnectVerdict::MustConnected:
-      ++Out.MustConnectedSites;
-      break;
-    case DisconnectVerdict::Unknown:
-      ++Out.UnknownSites;
-      break;
-    }
-  }
+  std::array<size_t, 3> Counts = R.verdictCounts();
+  using V = DisconnectVerdict;
+  Out.MustDisconnectedSites = Counts[size_t(V::MustDisconnected)];
+  Out.MustConnectedSites = Counts[size_t(V::MustConnected)];
+  Out.UnknownSites = Counts[size_t(V::Unknown)];
   for (const AnalysisDiag &D : R.Diags)
     if (isLintDiag(D.Kind))
       ++Out.LintDiags;
@@ -1636,7 +1585,7 @@ SourceAnalysis analyzeSourceText(std::string_view Source,
   }
 
   std::ostringstream Header;
-  Header << Base << ": analyzed " << Checked->Functions.size()
+  Header << Base << ": analyzed " << CP.Functions.size()
          << " function(s), " << R.Sites.size()
          << " `if disconnected` site(s): " << Out.MustDisconnectedSites
          << " must-disconnected, " << Out.MustConnectedSites
@@ -1650,6 +1599,49 @@ SourceAnalysis analyzeSourceText(std::string_view Source,
                     " recursive)\n";
     for (const auto &[Fn, S] : R.Summaries)
       Out.Rendered += renderSummary(Fn, S, P.Names) + "\n";
+  }
+  return Out;
+}
+
+SourceAnalysis renderRejectedAnalysis(std::string_view Source,
+                                      const Diagnostic &Rejection,
+                                      std::string_view FileName,
+                                      const SourceAnalysisOptions &Opts) {
+  SourceAnalysis Out;
+  std::string Base = basenameOf(FileName);
+
+  DiagnosticEngine Diags;
+  auto HardError = [&](const std::string &What) {
+    Out.HardError = true;
+    Out.Rendered =
+        Opts.Json ? renderJson(Out, Base, Opts, nullptr, nullptr, What)
+                  : Base + ": error: " + What + "\n" + Diags.renderAll();
+    return Out;
+  };
+  auto ProgOpt = parseProgram(Source, Diags);
+  if (!ProgOpt)
+    return HardError("parsing failed");
+  Program P = std::move(*ProgOpt);
+  StructTable Structs;
+  if (!Structs.build(P, Diags) || !resolveProgram(P, Structs, Diags))
+    return HardError("resolution failed");
+  Out.FunctionCount = P.Functions.size();
+
+  // The region checker rejected the program: fall back to the syntactic
+  // lints, which usually explain the misuse more directly.
+  auto Lints = lintProgram(P);
+  for (const AnalysisDiag &D : Lints)
+    if (isLintDiag(D.Kind))
+      ++Out.LintDiags;
+  std::string Where = Rejection.Message + " at " + toString(Rejection.Loc);
+  if (Opts.Json) {
+    AnalysisReport LintOnly;
+    LintOnly.Diags = std::move(Lints);
+    Out.Rendered = renderJson(Out, Base, Opts, &LintOnly, &P.Names,
+                              "region check failed: " + Where);
+  } else {
+    Out.Rendered = Base + ": note: region check failed (" + Where +
+                   "); syntactic lints only\n" + renderDiags(Lints, FileName);
   }
   return Out;
 }

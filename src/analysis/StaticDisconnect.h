@@ -22,9 +22,9 @@
 ///    program, producing per-site verdicts and diagnostics;
 ///  - lintProgram: the syntactic lint pass, usable even when the region
 ///    checker rejects the program;
-///  - analyzeSourceText: parse + sema + check + analyze with rendered
-///    output — shared verbatim by `fearlessc analyze` and the golden-file
-///    tests.
+///  - renderAnalysis / renderRejectedAnalysis: the `fearlessc analyze`
+///    report of a checked program, or of one the pipeline rejected
+///    (driver/CompilePipeline.h builds the program and picks one).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +35,7 @@
 #include "analysis/Verdict.h"
 #include "checker/Checker.h"
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -86,6 +87,8 @@ struct AnalysisReport {
 
   /// The per-site verdict table the runtime elision hook consumes.
   DisconnectVerdictTable verdictTable() const;
+  /// How many sites got each verdict, indexed by DisconnectVerdict.
+  std::array<size_t, 3> verdictCounts() const;
 };
 
 /// Analysis knobs. Interprocedural mode (the default) computes bottom-up
@@ -123,9 +126,9 @@ struct SourceAnalysisOptions {
   bool Json = false;
 };
 
-/// The `fearlessc analyze` pipeline over a source buffer: parse + resolve,
-/// then check + analyze (or, when the checker rejects the program, the
-/// syntactic lints with the checker's diagnostic as a note).
+/// The `fearlessc analyze` report: the analysis of a checked program,
+/// or, when the region checker rejects it, the syntactic lints with the
+/// checker's diagnostic as a note.
 struct SourceAnalysis {
   std::string Rendered;     ///< The full diagnostic listing (or JSON).
   bool HardError = false;   ///< Parse / resolution failure.
@@ -138,9 +141,22 @@ struct SourceAnalysis {
   /// `fearlessc analyze --werror` turns into a check-stage failure.
   size_t LintDiags = 0;
 };
-SourceAnalysis analyzeSourceText(std::string_view Source,
-                                 std::string_view FileName,
-                                 const SourceAnalysisOptions &Opts = {});
+
+/// Renders the report of \p R, the analysis of the checked program
+/// \p CP.
+SourceAnalysis renderAnalysis(const CheckedProgram &CP,
+                              const AnalysisReport &R,
+                              std::string_view FileName,
+                              const SourceAnalysisOptions &Opts);
+
+/// Renders the report for a \p Source the pipeline rejected with
+/// \p Rejection: it re-parses and re-resolves the source, so a parse or
+/// resolution failure is a hard error with the front end's diagnostics;
+/// any later rejection falls back to the syntactic lints.
+SourceAnalysis renderRejectedAnalysis(std::string_view Source,
+                                      const Diagnostic &Rejection,
+                                      std::string_view FileName,
+                                      const SourceAnalysisOptions &Opts);
 
 } // namespace fearless
 

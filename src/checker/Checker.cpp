@@ -11,16 +11,18 @@
 #include "checker/Framing.h"
 #include "checker/Unify.h"
 #include "checker/Virtual.h"
-#include "parser/Parser.h"
 #include "regions/Canonical.h"
 #include "sema/Resolver.h"
-#include "support/Trace.h"
 
 #include <cassert>
 
 using namespace fearless;
 
 namespace {
+
+/// Refinement rounds a while loop's invariant gets before the checker
+/// gives up on reaching a fixpoint.
+constexpr size_t MaxLoopIterations = 64;
 
 /// The region and type of a checked expression.
 struct ExprResult {
@@ -703,7 +705,7 @@ private:
     Contexts Invariant = Ctx;
     Type BoolTy = Type::boolTy();
 
-    for (size_t Iter = 0; Iter < Opts.MaxLoopIterations; ++Iter) {
+    for (size_t Iter = 0; Iter < MaxLoopIterations; ++Iter) {
       ++Stats.LoopIterations;
       Ctx = Invariant;
       // Check into a scratch step; only the stable iteration is kept,
@@ -768,7 +770,7 @@ private:
       Invariant = std::move(Met->Ctx);
     }
     return fail("while loop did not stabilize after " +
-                    std::to_string(Opts.MaxLoopIterations) +
+                    std::to_string(MaxLoopIterations) +
                     " refinements",
                 E.loc());
   }
@@ -1114,32 +1116,5 @@ Expected<CheckedProgram> fearless::checkProgram(const Program &P,
       return Checked.takeFailure();
     Out.Functions.emplace(F.Name, std::move(*Checked));
   }
-  return Out;
-}
-
-Expected<FrontendResult> fearless::checkSource(std::string_view Source,
-                                               const CheckerOptions &Opts,
-                                               TraceBuffer *Trace) {
-  DiagnosticEngine Diags;
-  std::optional<Program> Parsed = [&] {
-    TraceSpan Span(Trace, "pipeline.parse", "pipeline");
-    return parseProgram(Source, Diags);
-  }();
-  if (!Parsed) {
-    Failure F = fail(Diags.renderAll());
-    F.Diag.Stage = DiagnosticStage::Parse;
-    return F;
-  }
-  FrontendResult Out{std::make_unique<Program>(std::move(*Parsed)), {}};
-  Expected<CheckedProgram> Checked = [&] {
-    TraceSpan Span(Trace, "pipeline.check", "pipeline");
-    return checkProgram(*Out.Prog, Opts);
-  }();
-  if (!Checked) {
-    Failure F = Checked.takeFailure();
-    F.Diag.Stage = DiagnosticStage::Check;
-    return F;
-  }
-  Out.Checked = Checked.take();
   return Out;
 }

@@ -31,15 +31,12 @@
 
 namespace fearless {
 
-class TraceBuffer;
-
 /// Tuning knobs; defaults match the paper's configuration (liveness
 /// oracle enabled, derivations emitted).
 struct CheckerOptions {
   bool UseLivenessOracle = true;
   bool EmitDerivations = true;
   size_t UnifySearchLimit = 1 << 14;
-  size_t MaxLoopIterations = 64;
 };
 
 /// Counters describing one function's check.
@@ -72,18 +69,6 @@ struct CheckedProgram {
 /// that could not be applied and the offending contexts.
 Expected<CheckedProgram> checkProgram(const Program &P,
                                       const CheckerOptions &Opts = {});
-
-/// Convenience: parse + sema + check. Returns the program (owned) and the
-/// checked artifacts, or diagnostics rendered in the failure message.
-struct FrontendResult {
-  std::unique_ptr<Program> Prog;
-  CheckedProgram Checked;
-};
-/// \p Trace, when set, receives a `pipeline.parse` and a
-/// `pipeline.check` span.
-Expected<FrontendResult> checkSource(std::string_view Source,
-                                     const CheckerOptions &Opts = {},
-                                     TraceBuffer *Trace = nullptr);
 
 } // namespace fearless
 

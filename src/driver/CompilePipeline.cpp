@@ -8,6 +8,7 @@
 
 #include "concurrency/ParallelExec.h"
 #include "mc/Replay.h"
+#include "parser/Parser.h"
 #include "runtime/Machine.h"
 #include "support/FaultInjector.h"
 #include "support/Trace.h"
@@ -50,37 +51,58 @@ fearless::buildArtifact(std::string_view Source,
   // One lane carries the stage spans of this build.
   TraceBuffer *TB =
       Trace ? &Trace->registerThread(4242, "compiler") : nullptr;
-  CheckerOptions CO;
-  CO.UseLivenessOracle = Opts.UseOracle;
-  Expected<Pipeline> P = compile(Source, CO, /*Verify=*/true, TB);
-  if (!P)
-    return P.takeFailure();
-
   auto A = std::make_shared<CompiledArtifact>();
-  A->P = P.take();
   A->Options = Opts;
   A->SourceBytes = Source.size();
+  Pipeline &P = A->P;
+
+  DiagnosticEngine Diags;
+  std::optional<Program> Parsed = [&] {
+    TraceSpan Span(TB, "pipeline.parse", "pipeline");
+    return parseProgram(Source, Diags);
+  }();
+  if (!Parsed) {
+    Failure F = fail(Diags.renderAll());
+    F.Diag.Stage = DiagnosticStage::Parse;
+    return F;
+  }
+  P.Prog = std::make_unique<Program>(std::move(*Parsed));
+
+  // Checker and verifier rejections share the check-stage exit code.
+  auto CheckStage = [](Failure F) {
+    F.Diag.Stage = DiagnosticStage::Check;
+    return F;
+  };
+  CheckerOptions CO;
+  CO.UseLivenessOracle = Opts.UseOracle;
+  Expected<CheckedProgram> Checked = [&] {
+    TraceSpan Span(TB, "pipeline.check", "pipeline");
+    return checkProgram(*P.Prog, CO);
+  }();
+  if (!Checked)
+    return CheckStage(Checked.takeFailure());
+  P.Checked = Checked.take();
+
+  Expected<VerifyStats> Verified = [&] {
+    TraceSpan Span(TB, "pipeline.verify", "pipeline");
+    return verifyProgram(P.Checked);
+  }();
+  if (!Verified)
+    return CheckStage(Verified.takeFailure());
+  P.Verified = *Verified;
 
   AnalysisOptions AO;
   AO.Interprocedural = Opts.Interprocedural;
   {
     TraceSpan Span(TB, "pipeline.analyze", "pipeline");
-    A->Report = analyzeProgram(A->P.Checked, AO);
+    A->Report = analyzeProgram(P.Checked, AO);
   }
   A->Verdicts = A->Report.verdictTable();
-  for (const SiteReport &S : A->Report.Sites) {
-    switch (S.Verdict) {
-    case DisconnectVerdict::MustDisconnected:
-      ++A->MustDisconnectedSites;
-      break;
-    case DisconnectVerdict::MustConnected:
-      ++A->MustConnectedSites;
-      break;
-    case DisconnectVerdict::Unknown:
-      ++A->UnknownSites;
-      break;
-    }
-  }
+  std::array<size_t, 3> Counts = A->Report.verdictCounts();
+  using V = DisconnectVerdict;
+  A->MustDisconnectedSites = Counts[size_t(V::MustDisconnected)];
+  A->MustConnectedSites = Counts[size_t(V::MustConnected)];
+  A->UnknownSites = Counts[size_t(V::Unknown)];
 
   if (Opts.Engine == "vm") {
     vm::CompileOptions VO;
@@ -92,7 +114,7 @@ fearless::buildArtifact(std::string_view Source,
 #endif
     Expected<vm::CompiledProgram> Code = [&] {
       TraceSpan Span(TB, "vm.compile", "vm");
-      return vm::compileProgram(A->P.Checked, VO);
+      return vm::compileProgram(P.Checked, VO);
     }();
     if (!Code)
       return Code.takeFailure();
@@ -138,6 +160,45 @@ std::string fearless::renderCheckOutput(const CompiledArtifact &A,
   return Out;
 }
 
+/// The analyze report of a build: the artifact's, or the fallback's.
+static SourceAnalysis
+analyzeBuild(const Expected<std::shared_ptr<const CompiledArtifact>> &Built,
+             std::string_view Source, std::string_view FileName,
+             const SourceAnalysisOptions &Opts) {
+  if (!Built)
+    return renderRejectedAnalysis(Source, Built.error(), FileName, Opts);
+  return renderAnalysis((*Built)->P.Checked, (*Built)->Report, FileName,
+                        Opts);
+}
+
+RunOutcome fearless::renderAnalyzeOutput(
+    const Expected<std::shared_ptr<const CompiledArtifact>> &Built,
+    std::string_view Source, std::string_view FileName,
+    const SourceAnalysisOptions &Opts, bool Werror) {
+  SourceAnalysis A = analyzeBuild(Built, Source, FileName, Opts);
+  RunOutcome O;
+  O.Out = std::move(A.Rendered);
+  if (A.HardError) {
+    O.Exit = exitCodeForStage(DiagnosticStage::Parse);
+  } else if (Werror && A.LintDiags > 0) {
+    // Lints are check-stage findings, so --werror exits with the
+    // check-stage code — scripts can distinguish "region misuse" from
+    // infrastructure failures without parsing messages.
+    O.Err = "fearlessc: error: " + std::to_string(A.LintDiags) +
+            " lint diagnostic(s) with --werror\n";
+    O.Exit = exitCodeForStage(DiagnosticStage::Check);
+  }
+  return O;
+}
+
+SourceAnalysis fearless::analyzeSourceText(std::string_view Source,
+                                           std::string_view FileName,
+                                           const SourceAnalysisOptions &Opts) {
+  PipelineOptions PO;
+  PO.Interprocedural = Opts.Interprocedural;
+  return analyzeBuild(buildArtifact(Source, PO), Source, FileName, Opts);
+}
+
 int fearless::exitCodeForStage(DiagnosticStage Stage) {
   switch (Stage) {
   case DiagnosticStage::Parse:
@@ -152,53 +213,46 @@ int fearless::exitCodeForStage(DiagnosticStage Stage) {
   return 1;
 }
 
+std::optional<std::string>
+fearless::resolveCall(const CompiledArtifact &A, const std::string &Fn,
+                      const std::vector<int64_t> &Args, Symbol &Sym,
+                      std::vector<Value> &Values) {
+  const Program &Prog = *A.P.Prog;
+  Sym = Prog.Names.lookup(Fn);
+  const FnDecl *Decl = Prog.findFunction(Sym);
+  if (!Decl)
+    return "no function '" + Fn + "'\n";
+  if (Decl->Params.size() != Args.size())
+    return "'" + Fn + "' takes " + std::to_string(Decl->Params.size()) +
+           " arguments, got " + std::to_string(Args.size()) +
+           " (only int arguments are supported from the CLI)\n";
+  for (size_t I = 0; I < Args.size(); ++I) {
+    if (!(Decl->Params[I].ParamType == Type::intTy()))
+      return "parameter " + std::to_string(I) + " of '" + Fn +
+             "' is not int\n";
+    Values.push_back(Value::intVal(Args[I]));
+  }
+  return std::nullopt;
+}
+
 RunOutcome fearless::runArtifact(const CompiledArtifact &A,
                                  const RunSpec &Spec) {
   RunOutcome O;
   const Pipeline &P = A.P;
 
-  // Entry and --spawn functions share the same lookup and int-argument
-  // validation.
-  auto ResolveCall = [&](const std::string &Fn,
-                         const std::vector<int64_t> &Args, Symbol &SymOut,
-                         std::vector<Value> &ValuesOut) -> bool {
-    SymOut = P.Prog->Names.intern(Fn);
-    const FnDecl *Decl = P.Prog->findFunction(SymOut);
-    if (!Decl) {
-      O.Err = "no function '" + Fn + "'\n";
-      O.Exit = 1;
-      return false;
-    }
-    if (Decl->Params.size() != Args.size()) {
-      O.Err = "'" + Fn + "' takes " + std::to_string(Decl->Params.size()) +
-              " arguments, got " + std::to_string(Args.size()) +
-              " (only int arguments are supported from the CLI)\n";
-      O.Exit = 1;
-      return false;
-    }
-    for (size_t I = 0; I < Args.size(); ++I) {
-      if (!(Decl->Params[I].ParamType == Type::intTy())) {
-        O.Err = "parameter " + std::to_string(I) + " of '" + Fn +
-                "' is not int\n";
-        O.Exit = 1;
-        return false;
-      }
-      ValuesOut.push_back(Value::intVal(Args[I]));
-    }
-    return true;
-  };
-
   Symbol Entry;
   std::vector<Value> Values;
-  if (!ResolveCall(Spec.Fn, Spec.Args, Entry, Values))
-    return O;
+  std::optional<std::string> Err =
+      resolveCall(A, Spec.Fn, Spec.Args, Entry, Values);
   std::vector<std::pair<Symbol, std::vector<Value>>> ExtraSpawns;
-  for (const auto &[Fn, Args] : Spec.Spawns) {
-    Symbol S;
-    std::vector<Value> V;
-    if (!ResolveCall(Fn, Args, S, V))
-      return O;
-    ExtraSpawns.emplace_back(S, std::move(V));
+  for (size_t I = 0; !Err && I < Spec.Spawns.size(); ++I) {
+    auto &[S, V] = ExtraSpawns.emplace_back();
+    Err = resolveCall(A, Spec.Spawns[I].first, Spec.Spawns[I].second, S, V);
+  }
+  if (Err) {
+    O.Err = std::move(*Err);
+    O.Exit = 1;
+    return O;
   }
   if (Spec.WorkersSet && (!Spec.Spawns.empty() || Spec.Schedule)) {
     O.Err = "--spawn and --schedule drive the deterministic machine and "

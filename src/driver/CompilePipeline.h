@@ -26,8 +26,10 @@
 #define FEARLESS_DRIVER_COMPILEPIPELINE_H
 
 #include "analysis/StaticDisconnect.h"
+#include "checker/Checker.h"
 #include "driver/Driver.h"
 #include "support/Metrics.h"
+#include "verifier/Verifier.h"
 #include "vm/Compiler.h"
 
 #include <cstdint>
@@ -71,6 +73,14 @@ struct PipelineOptions {
   uint64_t fingerprint() const;
 };
 
+/// The front end's product: the parsed program (owned), its checked
+/// typing derivations, and what the verifier re-checked.
+struct Pipeline {
+  std::unique_ptr<Program> Prog;
+  CheckedProgram Checked;
+  VerifyStats Verified;
+};
+
 /// The immutable product of the compile pipeline: AST + checked program
 /// + verifier stats (Pipeline), the static region-graph analysis report
 /// and its runtime verdict table, and (for the vm engine) the compiled
@@ -98,14 +108,16 @@ struct CompiledArtifact {
   size_t approxBytes() const;
 };
 
-/// Runs parse + sema + check + verify + analyze (+ vm lowering for the
-/// vm engine) over \p Source. \p Trace, when set, records one span per
-/// stage — `pipeline.parse`, `pipeline.check`, `pipeline.verify`,
-/// `pipeline.analyze` and `vm.compile` — on a dedicated `compiler` lane.
-/// Failures carry the DiagnosticStage that maps to the CLI exit-code
-/// table.
+/// The one way from source text to a checked program: parse + sema +
+/// check + verify (every derivation the checker emits is re-checked) +
+/// analyze (+ vm lowering for the vm engine) over \p Source. \p Trace,
+/// when set, records one span per stage — `pipeline.parse`,
+/// `pipeline.check`, `pipeline.verify`, `pipeline.analyze` and
+/// `vm.compile` — on a dedicated `compiler` lane. Failures carry the
+/// DiagnosticStage that maps to the CLI exit-code table: Parse for
+/// syntax errors, Check for a checker or verifier rejection.
 Expected<std::shared_ptr<const CompiledArtifact>>
-buildArtifact(std::string_view Source, const PipelineOptions &Opts,
+buildArtifact(std::string_view Source, const PipelineOptions &Opts = {},
               TraceSession *Trace = nullptr);
 
 /// What to execute and what to report. Everything `fearlessc run`
@@ -148,6 +160,16 @@ struct RunOutcome {
   bool HasMetrics = false;
 };
 
+/// Looks up \p Fn in \p A and converts \p Args to its parameters (ints
+/// only, as the CLI passes them); on failure returns the CLI's error
+/// line. Never inserts into the artifact's interner, so concurrent runs
+/// may share \p A.
+std::optional<std::string> resolveCall(const CompiledArtifact &A,
+                                       const std::string &Fn,
+                                       const std::vector<int64_t> &Args,
+                                       Symbol &Sym,
+                                       std::vector<Value> &Values);
+
 /// Executes \p Spec.Fn over \p A on the engine the artifact was built
 /// for. Never throws and never prints: all text lands in the outcome.
 RunOutcome runArtifact(const CompiledArtifact &A, const RunSpec &Spec);
@@ -159,6 +181,23 @@ RunOutcome runArtifact(const CompiledArtifact &A, const RunSpec &Spec);
 std::string renderCheckOutput(const CompiledArtifact &A,
                               std::string_view DisplayName,
                               bool Stats = false);
+
+/// `fearlessc analyze` output for \p Source from its build \p Built: the
+/// artifact's analysis report, or for a failed build the re-parse /
+/// re-resolve fallback (renderRejectedAnalysis). Exit 3 for a parse or
+/// resolution failure; with \p Werror, exit 4 and a note on stderr when
+/// lints fired. Rendering options never change the artifact, so the
+/// daemon serves analyze from the same cache entry as check.
+RunOutcome renderAnalyzeOutput(
+    const Expected<std::shared_ptr<const CompiledArtifact>> &Built,
+    std::string_view Source, std::string_view FileName,
+    const SourceAnalysisOptions &Opts, bool Werror);
+
+/// `fearlessc analyze` of \p Source under default pipeline options
+/// (Opts.Interprocedural aside): buildArtifact, then renderAnalyzeOutput.
+SourceAnalysis analyzeSourceText(std::string_view Source,
+                                 std::string_view FileName,
+                                 const SourceAnalysisOptions &Opts = {});
 
 /// The documented exit code for a pipeline diagnostic (0 ok, 1 generic,
 /// 2 usage, 3 parse, 4 check/verify, 5 runtime fault). One table,

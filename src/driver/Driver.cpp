@@ -6,35 +6,9 @@
 
 #include "driver/Driver.h"
 
-#include "support/Trace.h"
-
 #include <string>
 
 using namespace fearless;
-
-Expected<Pipeline> fearless::compile(std::string_view Source,
-                                     const CheckerOptions &Opts,
-                                     bool Verify, TraceBuffer *Trace) {
-  Expected<FrontendResult> Front = checkSource(Source, Opts, Trace);
-  if (!Front)
-    return Front.takeFailure();
-  Pipeline Out;
-  Out.Prog = std::move(Front->Prog);
-  Out.Checked = std::move(Front->Checked);
-  if (Verify && Opts.EmitDerivations) {
-    Expected<VerifyStats> Stats = [&] {
-      TraceSpan Span(Trace, "pipeline.verify", "pipeline");
-      return verifyProgram(Out.Checked);
-    }();
-    if (!Stats) {
-      Failure F = Stats.takeFailure();
-      F.Diag.Stage = DiagnosticStage::Check;
-      return F;
-    }
-    Out.Verified = *Stats;
-  }
-  return Out;
-}
 
 //===----------------------------------------------------------------------===//
 // Sample programs

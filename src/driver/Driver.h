@@ -1,39 +1,21 @@
-//===- driver/Driver.h - End-to-end pipeline and sample programs -*- C++ -*-===//
+//===- driver/Driver.h - Sample programs ------------------------*- C++ -*-===//
 //
 // Part of the fearless-concurrency reproduction.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Convenience pipeline (parse → sema → check → verify) plus the surface-
-/// language sample programs shared by tests, examples, and benchmarks:
-/// the paper's singly and doubly linked lists (Figs. 1, 2, 5, 14), the
-/// broken Fig. 4 variant (which must be rejected), a red-black tree (the
-/// appendix's flagship example), and message-passing pipelines.
+/// The surface-language sample programs shared by tests, examples, and
+/// benchmarks: the paper's singly and doubly linked lists (Figs. 1, 2, 5,
+/// 14), the broken Fig. 4 variant (which must be rejected), a red-black
+/// tree (the appendix's flagship example), and message-passing pipelines.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FEARLESS_DRIVER_DRIVER_H
 #define FEARLESS_DRIVER_DRIVER_H
 
-#include "checker/Checker.h"
-#include "verifier/Verifier.h"
-
 namespace fearless {
-
-/// Parses, resolves, checks, and (optionally) verifies a source buffer.
-struct Pipeline {
-  std::unique_ptr<Program> Prog;
-  CheckedProgram Checked;
-  VerifyStats Verified;
-};
-
-/// Runs the full pipeline; \p Verify re-checks all derivations. \p Trace,
-/// when set, receives one span per stage: `pipeline.parse`,
-/// `pipeline.check` and `pipeline.verify`.
-Expected<Pipeline> compile(std::string_view Source,
-                           const CheckerOptions &Opts = {},
-                           bool Verify = true, TraceBuffer *Trace = nullptr);
 
 /// Sample surface programs.
 namespace programs {

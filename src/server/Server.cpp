@@ -286,27 +286,12 @@ Json Server::handleRequest(const std::string &Payload, TraceBuffer *TB,
     return makeExecResponse(Req->Id, 0, M.toJson() + "\n", "", false);
   }
 
-  case WireOp::Analyze: {
-    // Diagnostic path: always fresh (uncached) — its output is the
-    // rendered report, not a cacheable artifact.
-    SourceAnalysisOptions AO;
-    AO.Interprocedural = Req->Interprocedural;
-    AO.DumpSummaries = Req->Summaries;
-    AO.Json = Req->Json;
-    SourceAnalysis A = analyzeSourceText(Req->Source, Req->Name, AO);
-    if (A.HardError)
-      return makeExecResponse(Req->Id, 3, A.Rendered, "", false);
-    if (Req->Werror && A.LintDiags > 0) {
-      std::string Err = "fearlessc: error: " +
-                        std::to_string(A.LintDiags) +
-                        " lint diagnostic(s) with --werror\n";
-      return makeExecResponse(Req->Id, 4, A.Rendered, Err, false);
-    }
-    return makeExecResponse(Req->Id, 0, A.Rendered, "", false);
-  }
-
+  case WireOp::Analyze:
   case WireOp::Check:
   case WireOp::Run: {
+    // One option mapping for all three ops, so analyze builds the very
+    // artifact check does: its rendering options (--json, --summaries,
+    // --werror) never change what is built.
     PipelineOptions PO;
     PO.UseOracle = Req->Oracle;
     PO.Interprocedural = Req->Interprocedural;
@@ -315,6 +300,19 @@ Json Server::handleRequest(const std::string &Payload, TraceBuffer *TB,
     PO.EmitChecks = Req->Checks && Req->Workers < 0;
     PO.Engine = Req->Engine;
 
+    if (Req->Op == WireOp::Analyze) {
+      // A fresh build, outside the cache for now (docs/SERVER.md, "The
+      // derivation cache").
+      SourceAnalysisOptions AO;
+      AO.Interprocedural = Req->Interprocedural;
+      AO.DumpSummaries = Req->Summaries;
+      AO.Json = Req->Json;
+      RunOutcome O = renderAnalyzeOutput(buildArtifact(Req->Source, PO),
+                                         Req->Source, Req->Name, AO,
+                                         Req->Werror);
+      return makeExecResponse(Req->Id, O.Exit, O.Out, O.Err, false);
+    }
+
     bool WasHit = false;
     Expected<std::shared_ptr<const CompiledArtifact>> Artifact = [&] {
       TraceSpan LookupSpan(TB, "cache.lookup", "server");
@@ -322,6 +320,7 @@ Json Server::handleRequest(const std::string &Payload, TraceBuffer *TB,
       LookupSpan.setArg("hit", WasHit ? 1 : 0);
       return R;
     }();
+
     if (!Artifact) {
       // Exactly the bytes the CLI prints for a compile failure, plus
       // the DiagnosticStage exit code.

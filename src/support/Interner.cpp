@@ -21,6 +21,11 @@ Symbol Interner::intern(std::string_view Text) {
   return Symbol{Id};
 }
 
+Symbol Interner::lookup(std::string_view Text) const {
+  auto It = Index.find(Text);
+  return It == Index.end() ? Symbol{} : Symbol{It->second};
+}
+
 const std::string &Interner::spelling(Symbol Sym) const {
   assert(Sym.isValid() && Sym.Id < Spellings.size() &&
          "spelling of an unknown symbol");

@@ -38,6 +38,11 @@ public:
   /// Returns the unique Symbol for \p Text, interning it if new.
   Symbol intern(std::string_view Text);
 
+  /// Returns the Symbol for \p Text, or the invalid Symbol if it was
+  /// never interned. Never inserts, so concurrent lookups on a shared
+  /// interner are safe.
+  Symbol lookup(std::string_view Text) const;
+
   /// Returns the spelling of \p Sym; Sym must be valid and owned here.
   const std::string &spelling(Symbol Sym) const;
 

@@ -7,32 +7,33 @@
 #ifndef FEARLESS_TESTS_TESTUTIL_H
 #define FEARLESS_TESTS_TESTUTIL_H
 
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 #include "runtime/Machine.h"
 
 #include <gtest/gtest.h>
 
 namespace fearless::testutil {
 
-/// Compiles \p Source, failing the test on error.
-inline Pipeline mustCompile(std::string_view Source,
-                            const CheckerOptions &Opts = {}) {
-  Expected<Pipeline> Result = compile(Source, Opts);
+/// Builds \p Source through buildArtifact, failing the test on error.
+inline std::shared_ptr<const CompiledArtifact>
+mustBuild(std::string_view Source, const PipelineOptions &Opts = {}) {
+  Expected<std::shared_ptr<const CompiledArtifact>> Result =
+      buildArtifact(Source, Opts);
   EXPECT_TRUE(Result.hasValue())
       << (Result.hasValue() ? "" : Result.error().render());
   if (!Result)
-    return Pipeline{};
-  return std::move(*Result);
+    return std::make_shared<const CompiledArtifact>();
+  return *Result;
 }
 
 /// Interns a name in a compiled program.
-inline Symbol sym(Pipeline &P, std::string_view Name) {
+inline Symbol sym(const Pipeline &P, std::string_view Name) {
   return P.Prog->Names.intern(Name);
 }
 
 /// Builds an sll with payload values from \p Values (front to back) into
 /// thread \p T's reservation. Requires the SllSuite struct layout.
-inline Loc buildSll(Pipeline &P, Machine &M, ThreadId T,
+inline Loc buildSll(const Pipeline &P, Machine &M, ThreadId T,
                     const std::vector<int64_t> &Values) {
   Symbol SllSym = sym(P, "sll");
   Symbol NodeSym = sym(P, "sll_node");
@@ -58,7 +59,7 @@ inline Loc buildSll(Pipeline &P, Machine &M, ThreadId T,
 
 /// Builds a circular dll with payload values (front to back) into thread
 /// \p T's reservation. Requires the DllSuite struct layout.
-inline Loc buildDll(Pipeline &P, Machine &M, ThreadId T,
+inline Loc buildDll(const Pipeline &P, Machine &M, ThreadId T,
                     const std::vector<int64_t> &Values) {
   Symbol DllSym = sym(P, "dll");
   Symbol NodeSym = sym(P, "dll_node");
@@ -91,7 +92,7 @@ inline Loc buildDll(Pipeline &P, Machine &M, ThreadId T,
 }
 
 /// Reads the payload values of an sll (following hd/next), by host access.
-inline std::vector<int64_t> readSll(Pipeline &P, const Machine &M,
+inline std::vector<int64_t> readSll(const Pipeline &P, const Machine &M,
                                     Loc List) {
   std::vector<int64_t> Out;
   const Heap &H = M.heap();

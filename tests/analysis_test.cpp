@@ -40,7 +40,8 @@ namespace {
 /// Compiles \p Source, analyzes it, and returns the report. The program
 /// must check and contain at least one `if disconnected` site.
 AnalysisReport mustAnalyze(std::string_view Source) {
-  Pipeline P = mustCompile(Source);
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
   if (!P.Prog)
     return {};
   return analyzeProgram(P.Checked);
@@ -168,23 +169,42 @@ std::string slurp(const std::string &Path) {
 }
 
 TEST(AnalysisGolden, FixturesMatchExactly) {
-  // One fixture per diagnostic kind; .expected files hold the exact
-  // `fearlessc analyze` output (which prints SourceAnalysis::Rendered
-  // verbatim).
-  const char *Fixtures[] = {
-      "must_disconnected", "must_connected", "dead_branch",
-      "use_after_consumes", "never_populated", "cross_call_disconnected",
-      "recursive_scc", "summary_downgrade",
+  // One fixture per diagnostic kind plus the failure paths (parse error,
+  // resolution error, checker rejection); .expected / .json.expected
+  // files hold the exact `fearlessc analyze` / `analyze --json` output
+  // (which prints SourceAnalysis::Rendered verbatim).
+  struct Case {
+    const char *Name;
+    bool Json;
+    bool HardError;
   };
-  for (const char *Name : Fixtures) {
-    std::string Base = std::string(FEARLESS_FIXTURES_DIR) + "/" + Name;
+  const Case Cases[] = {
+      {"must_disconnected", false, false},
+      {"must_connected", false, false},
+      {"dead_branch", false, false},
+      {"use_after_consumes", false, false},
+      {"use_after_consumes", true, false},
+      {"never_populated", false, false},
+      {"cross_call_disconnected", false, false},
+      {"recursive_scc", false, false},
+      {"summary_downgrade", false, false},
+      {"parse_error", false, true},
+      {"parse_error", true, true},
+      {"resolve_error", false, true},
+      {"resolve_error", true, true},
+  };
+  for (const Case &C : Cases) {
+    std::string Base = std::string(FEARLESS_FIXTURES_DIR) + "/" + C.Name;
     std::string Source = slurp(Base + ".fls");
-    std::string Expected = slurp(Base + ".expected");
-    ASSERT_FALSE(Source.empty()) << Name;
+    std::string Expected =
+        slurp(Base + (C.Json ? ".json.expected" : ".expected"));
+    ASSERT_FALSE(Source.empty()) << C.Name;
+    SourceAnalysisOptions Opts;
+    Opts.Json = C.Json;
     SourceAnalysis A =
-        analyzeSourceText(Source, std::string(Name) + ".fls");
-    EXPECT_EQ(A.Rendered, Expected) << Name;
-    EXPECT_FALSE(A.HardError) << Name;
+        analyzeSourceText(Source, std::string(C.Name) + ".fls", Opts);
+    EXPECT_EQ(A.Rendered, Expected) << C.Name << (C.Json ? " --json" : "");
+    EXPECT_EQ(A.HardError, C.HardError) << C.Name;
   }
 }
 
@@ -216,7 +236,7 @@ TEST(AnalysisGolden, CorpusShapesMatchExactly) {
 // Runtime elision integration
 //===----------------------------------------------------------------------===//
 
-int64_t runMain(Pipeline &P, const DisconnectVerdictTable *Table,
+int64_t runMain(const Pipeline &P, const DisconnectVerdictTable *Table,
                 bool Elide, uint64_t &ElidedOut) {
   MachineOptions MO;
   MO.StaticVerdicts = Table;
@@ -234,7 +254,7 @@ int64_t runMain(Pipeline &P, const DisconnectVerdictTable *Table,
 }
 
 TEST(Elision, MustSitesAnsweredFromTable) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 struct gnode { next : gnode; }
 def main() : int {
   let a = new gnode();
@@ -244,6 +264,7 @@ def main() : int {
   if disconnected(a, b) { 1 } else { 0 }
 }
 )");
+  const Pipeline &P = Built->P;
   AnalysisReport R = analyzeProgram(P.Checked);
   DisconnectVerdictTable T = R.verdictTable();
 
@@ -260,7 +281,7 @@ def main() : int {
 }
 
 TEST(Elision, MustConnectedTakesElseBranch) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 struct gnode { next : gnode; }
 def main() : int {
   let a = new gnode();
@@ -269,6 +290,7 @@ def main() : int {
   if disconnected(a, b) { 1 } else { 0 }
 }
 )");
+  const Pipeline &P = Built->P;
   AnalysisReport R = analyzeProgram(P.Checked);
   ASSERT_EQ(R.Sites.size(), 1u);
   ASSERT_EQ(R.Sites[0].Verdict, DisconnectVerdict::MustConnected);
@@ -318,13 +340,12 @@ TEST_P(StaticVsRuntime, ElisionAgreesWithTraversalOracle) {
   int Compiled = 0;
   for (int I = 0; I < 6; ++I) {
     std::string Src = genProgram(Rng);
-    Expected<Pipeline> PR = compile(Src);
-    if (!PR)
+    auto A = buildArtifact(Src);
+    if (!A)
       continue; // e.g. the checker rejects a cross-region write order
-    Pipeline P = std::move(*PR);
+    const Pipeline &P = (*A)->P;
+    const DisconnectVerdictTable &T = (*A)->Verdicts;
     ++Compiled;
-    AnalysisReport R = analyzeProgram(P.Checked);
-    DisconnectVerdictTable T = R.verdictTable();
     // Elided + cross-checked vs plain traversal: any static verdict that
     // contradicts the runtime oracle makes the elided run stick (the
     // cross-check) or the results diverge — both fail here.
@@ -346,17 +367,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StaticVsRuntime,
 //===----------------------------------------------------------------------===//
 
 /// Position of the function named \p Name in the program.
-uint32_t fnIndex(Pipeline &P, std::string_view Name) {
+uint32_t fnIndex(const Pipeline &P, std::string_view Name) {
   return P.Prog->functionIndex(sym(P, Name));
 }
 
 TEST(CallGraphTest, ChainIsBottomUpSingletons) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 struct gnode { next : gnode; }
 def leaf(x : gnode) : int { 0 }
 def mid(x : gnode) : int { leaf(x) }
 def main() : int { let a = new gnode(); mid(a) }
 )");
+  const Pipeline &P = Built->P;
   CallGraph G = CallGraph::build(*P.Prog);
   ASSERT_EQ(G.sccCount(), 3u);
   // Bottom-up: callees come before callers.
@@ -368,7 +390,7 @@ def main() : int { let a = new gnode(); mid(a) }
 }
 
 TEST(CallGraphTest, MutualRecursionIsOneRecursiveScc) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 struct gnode { next : gnode; }
 def ping(x : gnode, n : int) : int {
   if (n < 1) { 0 } else { pong(x, n - 1) }
@@ -378,6 +400,7 @@ def pong(x : gnode, n : int) : int {
 }
 def main() : int { let a = new gnode(); ping(a, 4) }
 )");
+  const Pipeline &P = Built->P;
   CallGraph G = CallGraph::build(*P.Prog);
   ASSERT_EQ(G.sccCount(), 2u);
   EXPECT_EQ(G.sccOf(fnIndex(P, "ping")), G.sccOf(fnIndex(P, "pong")));
@@ -388,7 +411,7 @@ def main() : int { let a = new gnode(); ping(a, 4) }
 }
 
 TEST(CallGraphTest, DedupesRepeatedCallSites) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 struct gnode { next : gnode; }
 def leaf(x : gnode) : int { 0 }
 def main() : int {
@@ -398,6 +421,7 @@ def main() : int {
   u + w
 }
 )");
+  const Pipeline &P = Built->P;
   CallGraph G = CallGraph::build(*P.Prog);
   EXPECT_EQ(G.callees(fnIndex(P, "main")).size(), 1u);
   EXPECT_EQ(G.callSiteCount(fnIndex(P, "main")), 2u);
@@ -408,12 +432,13 @@ def main() : int {
 //===----------------------------------------------------------------------===//
 
 TEST(SummaryTest, ReaderPreservesParameterWriterDoesNot) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 struct gnode { next : gnode; value : int; }
 def peek(x : gnode) : int { x.value }
 def relink(x : gnode) : int { x.next = new gnode(); x.value }
 def main() : int { let a = new gnode(); peek(a) + relink(a) }
 )");
+  const Pipeline &P = Built->P;
   SummaryStats Stats;
   SummaryTable T = computeSummaries(P.Checked, &Stats);
   const FnSummary &Peek = T.at(sym(P, "peek"));
@@ -430,7 +455,7 @@ def main() : int { let a = new gnode(); peek(a) + relink(a) }
 }
 
 TEST(SummaryTest, RecursiveReaderFixpointStaysPreserved) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 struct gnode { next : gnode; value : int; }
 def even_len(x : gnode, n : int) : int {
   if (n < 1) { x.value } else { odd_len(x, n - 1) }
@@ -440,6 +465,7 @@ def odd_len(x : gnode, n : int) : int {
 }
 def main() : int { let a = new gnode(); even_len(a, 4) }
 )");
+  const Pipeline &P = Built->P;
   SummaryStats Stats;
   SummaryTable T = computeSummaries(P.Checked, &Stats);
   EXPECT_EQ(Stats.RecursiveSccs, 1u);
@@ -458,7 +484,7 @@ def main() : int { let a = new gnode(); even_len(a, 4) }
 //===----------------------------------------------------------------------===//
 
 TEST(SummaryRuns, AcyclicProgramInterpretsEachFunctionOnce) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 struct gnode { next : gnode; value : int; }
 def peek(x : gnode) : int { x.value }
 def relink(x : gnode) : int { x.next = new gnode(); peek(x) }
@@ -471,6 +497,7 @@ def main() : int {
   if disconnected(a, b) { v } else { 0 }
 }
 )");
+  const Pipeline &P = Built->P;
   AnalysisReport R = analyzeProgram(P.Checked);
   EXPECT_EQ(R.SummaryInfo.Functions, 3u);
   EXPECT_EQ(R.SummaryInfo.RecursiveSccs, 0u);
@@ -517,7 +544,8 @@ std::string rotatingScc(size_t Params) {
 
 TEST(SummaryRuns, InvalidatedSccRerunsEachMemberForItsReport) {
   // Few parameters: the SCC converges and the site is proven.
-  Pipeline Small = mustCompile(rotatingScc(3));
+  auto SmallBuilt = mustBuild(rotatingScc(3));
+  const Pipeline &Small = SmallBuilt->P;
   AnalysisReport RSmall = analyzeProgram(Small.Checked);
   EXPECT_EQ(RSmall.SummaryInfo.Invalidated, 0u);
   EXPECT_EQ(RSmall.SummaryInfo.ReportRuns, 0u);
@@ -526,7 +554,8 @@ TEST(SummaryRuns, InvalidatedSccRerunsEachMemberForItsReport) {
 
   // Many: the SCC hits the cap after runs whose summaries would still
   // prove the site.
-  Pipeline P = mustCompile(rotatingScc(31));
+  auto Built = mustBuild(rotatingScc(31));
+  const Pipeline &P = Built->P;
   AnalysisReport R = analyzeProgram(P.Checked);
   EXPECT_EQ(R.SummaryInfo.RecursiveSccs, 1u);
   ASSERT_EQ(R.SummaryInfo.Invalidated, 2u);
@@ -572,7 +601,8 @@ def main() : int {
 )";
 
 TEST(Interprocedural, CrossCallSiteFlipsFromUnknownToMust) {
-  Pipeline P = mustCompile(CrossCallSource);
+  auto Built = mustBuild(CrossCallSource);
+  const Pipeline &P = Built->P;
   AnalysisOptions Intra;
   Intra.Interprocedural = false;
   AnalysisReport RIntra = analyzeProgram(P.Checked, Intra);
@@ -586,7 +616,8 @@ TEST(Interprocedural, CrossCallSiteFlipsFromUnknownToMust) {
 }
 
 TEST(Interprocedural, ElidedCrossCallRunMatchesTraversal) {
-  Pipeline P = mustCompile(CrossCallSource);
+  auto Built = mustBuild(CrossCallSource);
+  const Pipeline &P = Built->P;
   AnalysisReport R = analyzeProgram(P.Checked);
   DisconnectVerdictTable T = R.verdictTable();
   uint64_t Elided = 0;
@@ -618,19 +649,17 @@ TEST(Interprocedural, NoIntraMustVerdictDegrades) {
   for (const char *Source :
        {programs::SllSuite, programs::DllSuite, programs::RedBlackTree,
         programs::MessagePassing, programs::BitTrie, programs::Extras}) {
-    Expected<Pipeline> P = compile(Source);
-    ASSERT_TRUE(P.hasValue());
-    expectNoDowngrade(P->Checked);
+    expectNoDowngrade(mustBuild(Source)->P.Checked);
   }
   const uint64_t Seeds[] = {1, 2, 3, 7, 21, 42, 1234, 987654321};
   for (uint64_t Seed : Seeds) {
     std::mt19937_64 Rng(Seed);
     for (int I = 0; I < 6; ++I) {
       std::string Src = genProgram(Rng);
-      Expected<Pipeline> P = compile(Src);
-      if (!P)
+      auto A = buildArtifact(Src);
+      if (!A)
         continue;
-      expectNoDowngrade(P->Checked);
+      expectNoDowngrade((*A)->P.Checked);
     }
   }
 }
@@ -676,12 +705,11 @@ TEST_P(InterproceduralVsRuntime, ElisionAgreesWithTraversalOracle) {
   int Compiled = 0;
   for (int I = 0; I < 8; ++I) {
     std::string Src = genCallProgram(Rng);
-    Expected<Pipeline> PR = compile(Src);
-    ASSERT_TRUE(PR.hasValue()) << Src;
-    Pipeline P = std::move(*PR);
+    auto A = buildArtifact(Src);
+    ASSERT_TRUE(A.hasValue()) << Src;
+    const Pipeline &P = (*A)->P;
+    const DisconnectVerdictTable &T = (*A)->Verdicts;
     ++Compiled;
-    AnalysisReport R = analyzeProgram(P.Checked);
-    DisconnectVerdictTable T = R.verdictTable();
     uint64_t ElA = 0, ElB = 0;
     int64_t WithElision = runMain(P, &T, /*Elide=*/true, ElA);
     int64_t Traversal = runMain(P, &T, /*Elide=*/false, ElB);
@@ -704,11 +732,10 @@ TEST(StaticVsRuntimeDiversity, AllThreeVerdictsAppearAcrossSeeds) {
     std::mt19937_64 Rng(Seed);
     for (int I = 0; I < 6; ++I) {
       std::string Src = genProgram(Rng);
-      Expected<Pipeline> PR = compile(Src);
-      if (!PR)
+      auto A = buildArtifact(Src);
+      if (!A)
         continue;
-      AnalysisReport R = analyzeProgram(PR->Checked);
-      for (const SiteReport &Site : R.Sites)
+      for (const SiteReport &Site : (*A)->Report.Sites)
         ++Counts[static_cast<int>(Site.Verdict)];
     }
   }

@@ -13,7 +13,7 @@
 
 #include "baselines/AffineChecker.h"
 #include "baselines/GlobalDomChecker.h"
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 #include "parser/Parser.h"
 
 #include <gtest/gtest.h>
@@ -135,8 +135,8 @@ def f(a : node, b : node) : unit {
 }
 
 TEST_F(BaselineFixture, ThisPaperAcceptsBoth) {
-  EXPECT_TRUE(compile(programs::SllSuite).hasValue());
-  EXPECT_TRUE(compile(programs::DllSuite).hasValue());
+  EXPECT_TRUE(buildArtifact(programs::SllSuite).hasValue());
+  EXPECT_TRUE(buildArtifact(programs::DllSuite).hasValue());
 }
 
 } // namespace

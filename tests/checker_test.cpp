@@ -12,28 +12,19 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Liveness.h"
-#include "driver/Driver.h"
+#include "TestUtil.h"
 #include "parser/Parser.h"
 
 #include <gtest/gtest.h>
 
 using namespace fearless;
+using namespace fearless::testutil;
 
 namespace {
 
-/// Compiles and expects success; returns the pipeline.
-Pipeline compileOk(std::string_view Source) {
-  Expected<Pipeline> Result = compile(Source);
-  EXPECT_TRUE(Result.hasValue())
-      << (Result.hasValue() ? "" : Result.error().render());
-  if (!Result)
-    return Pipeline{};
-  return std::move(*Result);
-}
-
 /// Compiles and expects failure; returns the diagnostic message.
 std::string compileErr(std::string_view Source) {
-  Expected<Pipeline> Result = compile(Source);
+  auto Result = buildArtifact(Source);
   EXPECT_FALSE(Result.hasValue()) << "expected a type error";
   if (Result)
     return "";
@@ -41,7 +32,8 @@ std::string compileErr(std::string_view Source) {
 }
 
 TEST(Checker, SllSuiteChecks) {
-  Pipeline P = compileOk(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   ASSERT_NE(P.Prog, nullptr);
   EXPECT_EQ(P.Checked.Functions.size(), P.Prog->Functions.size());
   EXPECT_GT(P.Verified.StepsChecked, 0u);
@@ -49,28 +41,33 @@ TEST(Checker, SllSuiteChecks) {
 }
 
 TEST(Checker, DllSuiteChecks) {
-  Pipeline P = compileOk(programs::DllSuite);
+  auto Built = mustBuild(programs::DllSuite);
+  const Pipeline &P = Built->P;
   ASSERT_NE(P.Prog, nullptr);
   EXPECT_EQ(P.Checked.Functions.size(), P.Prog->Functions.size());
 }
 
 TEST(Checker, RedBlackTreeChecks) {
-  Pipeline P = compileOk(programs::RedBlackTree);
+  auto Built = mustBuild(programs::RedBlackTree);
+  const Pipeline &P = Built->P;
   ASSERT_NE(P.Prog, nullptr);
 }
 
 TEST(Checker, MessagePassingChecks) {
-  Pipeline P = compileOk(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   ASSERT_NE(P.Prog, nullptr);
 }
 
 TEST(Checker, BitTrieChecks) {
-  Pipeline P = compileOk(programs::BitTrie);
+  auto Built = mustBuild(programs::BitTrie);
+  const Pipeline &P = Built->P;
   ASSERT_NE(P.Prog, nullptr);
 }
 
 TEST(Checker, ExtrasCheck) {
-  Pipeline P = compileOk(programs::Extras);
+  auto Built = mustBuild(programs::Extras);
+  const Pipeline &P = Built->P;
   ASSERT_NE(P.Prog, nullptr);
 }
 

@@ -26,7 +26,8 @@ using namespace fearless::testutil;
 namespace {
 
 TEST(Concurrency, SingleItemPipeline) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   M.spawn(sym(P, "producer"), {Value::intVal(10)});
   M.spawn(sym(P, "consumer"), {Value::intVal(10)});
@@ -38,7 +39,8 @@ TEST(Concurrency, SingleItemPipeline) {
 }
 
 TEST(Concurrency, ListPipelineMovesWholeSegments) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   M.spawn(sym(P, "producer_lists"),
           {Value::intVal(4), Value::intVal(5)});
@@ -50,7 +52,8 @@ TEST(Concurrency, ListPipelineMovesWholeSegments) {
 }
 
 TEST(Concurrency, RelayRing) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   M.spawn(sym(P, "producer_lists"),
           {Value::intVal(3), Value::intVal(2)});
@@ -69,7 +72,8 @@ TEST(Concurrency, EveryScheduleIsReservationSafe) {
   // rule out. What it does rule out is a reservation violation on the
   // way there: the §6 validators run at every step, and exploration
   // stops at the first counterexample, which must be the deadlock.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   mc::MachineFactory Factory = [&P] {
     MachineOptions MO;
     MO.StepValidator = [](const Machine &M) -> std::optional<std::string> {
@@ -99,7 +103,8 @@ TEST(Concurrency, EveryScheduleIsReservationSafe) {
 }
 
 TEST(Concurrency, ReservationsDisjointMidRun) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   M.spawn(sym(P, "producer"), {Value::intVal(50)});
   M.spawn(sym(P, "consumer"), {Value::intVal(50)});
@@ -111,7 +116,8 @@ TEST(Concurrency, ReservationsDisjointMidRun) {
 }
 
 TEST(Concurrency, DeadlockIsReported) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   // A consumer with no producer: deadlock.
   M.spawn(sym(P, "consumer"), {Value::intVal(1)});
@@ -123,7 +129,8 @@ TEST(Concurrency, DeadlockIsReported) {
 TEST(Concurrency, MapReduceWorkerPool) {
   // Two workers map list segments to sums; a reducer folds the ints.
   // Typed channels route lists to workers and ints to the reducer.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   M.spawn(sym(P, "producer_lists"), {Value::intVal(6), Value::intVal(4)});
   M.spawn(sym(P, "worker"), {Value::intVal(3)});
@@ -136,7 +143,8 @@ TEST(Concurrency, MapReduceWorkerPool) {
 }
 
 TEST(Concurrency, MapReduceOnRealThreads) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   ParallelExec Exec(P.Checked);
   Exec.spawn(sym(P, "producer_lists"), {Value::intVal(40),
                                         Value::intVal(8)});
@@ -169,11 +177,11 @@ def taker() : int {
   removed * 1000 + length(l)
 }
 )prog";
-  Expected<Pipeline> P = compile(Source);
-  ASSERT_TRUE(P.hasValue()) << (P ? "" : P.error().render());
-  Machine M(P->Checked);
-  M.spawn(P->Prog->Names.intern("maker"), {Value::intVal(4)});
-  M.spawn(P->Prog->Names.intern("taker"), {});
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
+  Machine M(P.Checked);
+  M.spawn(sym(P, "maker"), {Value::intVal(4)});
+  M.spawn(sym(P, "taker"), {});
   Expected<MachineSummary> R = M.run();
   ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
   // push_front 0..3 gives 3,2,1,0; tail = 0; remaining length 3.
@@ -182,7 +190,8 @@ def taker() : int {
 }
 
 TEST(Concurrency, ParallelExecutorMatchesAbstractMachine) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   ParallelExec Exec(P.Checked);
   Exec.spawn(sym(P, "producer_lists"), {Value::intVal(8),
                                         Value::intVal(16)});
@@ -204,7 +213,8 @@ TEST(Concurrency, ProducerFinishesWhileConsumerStillBlocked) {
   // reporting a spurious "channel closed while receiving" error. The
   // watchdog is only a safety net so a protocol bug fails the test
   // instead of hanging it.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   ParallelExecOptions O;
   O.WatchdogMillis = 10'000;
   ParallelExec Exec(P.Checked, O);
@@ -222,7 +232,8 @@ TEST(Concurrency, ProducerFinishesWhileConsumerStillBlocked) {
 }
 
 TEST(Concurrency, ConsumerWithNoProducerIsCancelledNotDeadlocked) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   ParallelExecOptions O;
   O.WatchdogMillis = 10'000;
   ParallelExec Exec(P.Checked, O);
@@ -296,7 +307,8 @@ def spin() : int {
   i
 }
 )prog";
-  Pipeline P = mustCompile(Source);
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
   ParallelExecOptions O;
   O.WatchdogMillis = 100;
   ParallelExec Exec(P.Checked, O);
@@ -315,7 +327,8 @@ TEST(Concurrency, FailedThreadErrorsAllPropagate) {
   std::string Source = std::string(programs::MessagePassing) + R"prog(
 def crash(a : int) : int { 10 / a }
 )prog";
-  Pipeline P = mustCompile(Source);
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
   ParallelExec Exec(P.Checked);
   Exec.spawn(sym(P, "crash"), {Value::intVal(0)});
   Exec.spawn(sym(P, "consumer"), {Value::intVal(1)}); // blocks on recv
@@ -330,7 +343,8 @@ def crash(a : int) : int { 10 / a }
 }
 
 TEST(Concurrency, RunIsSingleUse) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   ParallelExec Exec(P.Checked);
   Exec.spawn(sym(P, "producer"), {Value::intVal(1)});
   Exec.spawn(sym(P, "consumer"), {Value::intVal(1)});
@@ -342,7 +356,8 @@ TEST(Concurrency, RunIsSingleUse) {
 }
 
 TEST(Concurrency, MetricsAggregateAcrossThreads) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   ParallelExec Exec(P.Checked);
   Exec.spawn(sym(P, "producer"), {Value::intVal(10)});
   Exec.spawn(sym(P, "consumer"), {Value::intVal(10)});
@@ -365,7 +380,8 @@ TEST(Concurrency, MetricsAggregateAcrossThreads) {
 }
 
 TEST(Concurrency, ParallelManyThreads) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   ParallelExec Exec(P.Checked);
   const int Producers = 4;
   const int PerProducer = 25;

@@ -13,7 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -30,13 +30,13 @@ struct counter { count : int; iso payload : data?; }
 
 /// Expects the program (Decls + Body) to check.
 void accepts(const std::string &Body) {
-  Expected<Pipeline> R = compile(std::string(Decls) + Body);
+  auto R = buildArtifact(std::string(Decls) + Body);
   EXPECT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
 }
 
 /// Expects rejection; returns the message for content checks.
 std::string rejects(const std::string &Body) {
-  Expected<Pipeline> R = compile(std::string(Decls) + Body);
+  auto R = buildArtifact(std::string(Decls) + Body);
   EXPECT_FALSE(R.hasValue()) << "expected a type error for:\n" << Body;
   return R ? "" : R.error().Message;
 }

@@ -23,13 +23,14 @@ using namespace fearless::testutil;
 namespace {
 
 TEST(Extras, SuiteChecksAndVerifies) {
-  Pipeline P = mustCompile(programs::Extras);
+  auto Built = mustBuild(programs::Extras);
+  const Pipeline &P = Built->P;
   ASSERT_NE(P.Prog, nullptr);
   EXPECT_GT(P.Verified.StepsChecked, 0u);
 }
 
 /// Builds a holder (head over the same sll_node spine) with values.
-Loc buildHolder(Pipeline &P, Machine &M, ThreadId T,
+Loc buildHolder(const Pipeline &P, Machine &M, ThreadId T,
                 const std::vector<int64_t> &Values) {
   Loc Holder = M.hostAlloc(T, sym(P, "holder"));
   Value Next = Value::noneVal();
@@ -45,7 +46,7 @@ Loc buildHolder(Pipeline &P, Machine &M, ThreadId T,
   return Holder;
 }
 
-std::vector<int64_t> readHolder(Pipeline &P, const Machine &M,
+std::vector<int64_t> readHolder(const Pipeline &P, const Machine &M,
                                 Loc Holder) {
   std::vector<int64_t> Out;
   Value Cur = M.hostGetField(Holder, sym(P, "head"));
@@ -59,7 +60,8 @@ std::vector<int64_t> readHolder(Pipeline &P, const Machine &M,
 }
 
 TEST(Extras, ReverseMatchesModel) {
-  Pipeline P = mustCompile(programs::Extras);
+  auto Built = mustBuild(programs::Extras);
+  const Pipeline &P = Built->P;
   for (uint64_t Seed : {1u, 2u, 3u}) {
     std::mt19937_64 Rng(Seed);
     std::vector<int64_t> Model(3 + Rng() % 10);
@@ -78,7 +80,8 @@ TEST(Extras, ReverseMatchesModel) {
 }
 
 TEST(Extras, SortMatchesModel) {
-  Pipeline P = mustCompile(programs::Extras);
+  auto Built = mustBuild(programs::Extras);
+  const Pipeline &P = Built->P;
   for (uint64_t Seed : {4u, 5u, 6u, 7u}) {
     std::mt19937_64 Rng(Seed);
     std::vector<int64_t> Model(1 + Rng() % 16);
@@ -114,7 +117,8 @@ def drive(n : int) : bool {
   is_sorted(dst) && holder_len(dst) == n
 }
 )prog";
-  Pipeline P = mustCompile(Source);
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   M.spawn(sym(P, "drive"), {Value::intVal(40)});
   Expected<MachineSummary> R = M.run();
@@ -136,7 +140,8 @@ def drive() : bool {
   a == 1 && b == 2 && c == 3 && empty
 }
 )prog";
-  Pipeline P = mustCompile(Source);
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   M.spawn(sym(P, "drive"), {});
   Expected<MachineSummary> R = M.run();
@@ -156,7 +161,8 @@ def drive(n : int) : int {
   queue_drain_sum(q)
 }
 )prog";
-  Pipeline P = mustCompile(Source);
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   M.spawn(sym(P, "drive"), {Value::intVal(20)});
   Expected<MachineSummary> R = M.run();

@@ -265,7 +265,8 @@ TEST(RuntimeFaultTest, ReleaseBuildThrowsTypedFaultOnBadHeapAccess) {
   GTEST_SKIP() << "debug builds keep the loud abort on memory-safety "
                   "traps";
 #else
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   Heap H(P.Checked.Structs);
   Loc L = H.allocate(sym(P, "data"));
   ASSERT_TRUE(L.isValid());
@@ -296,7 +297,8 @@ TEST(RuntimeFaultTest, ReleaseBuildThrowsTypedFaultOnBadHeapAccess) {
 //===----------------------------------------------------------------------===//
 
 TEST(MachineFaults, InjectedSendFaultFailsRunWithTypedFault) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   FaultPlan Plan = *parseFaultSpec("chan.send=nth:3");
   FaultInjector FI(Plan);
   MachineOptions MO;
@@ -317,7 +319,8 @@ TEST(MachineFaults, InjectedSendFaultFailsRunWithTypedFault) {
 
 TEST(MachineFaults, InjectedSchedAndStartFaultsAreTyped) {
   for (const char *Spec : {"sched.step=nth:5", "thread.start=nth:1"}) {
-    Pipeline P = mustCompile(programs::MessagePassing);
+    auto Built = mustBuild(programs::MessagePassing);
+    const Pipeline &P = Built->P;
     FaultPlan Plan = *parseFaultSpec(Spec);
     FaultInjector FI(Plan);
     MachineOptions MO;
@@ -335,7 +338,8 @@ TEST(MachineFaults, InjectedSchedAndStartFaultsAreTyped) {
 TEST(MachineFaults, DisabledInjectorChangesNothing) {
   // A run with no injector and a run with an all-Never plan agree with
   // the plain baseline — the disabled path really is inert.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   auto Run = [&](FaultInjector *FI) {
     MachineOptions MO;
     MO.Faults = FI;
@@ -356,7 +360,8 @@ TEST(MachineFaults, DisabledInjectorChangesNothing) {
 TEST(MachineFaults, TracedRunMatchesUntracedUnderFaults) {
   // Tracing must not perturb the fault schedule: same plan, same machine
   // seed — identical outcome and identical fault, traced or not.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   auto Run = [&](TraceSession *Trace, RuntimeFault &FaultOut) {
     FaultPlan Plan = *parseFaultSpec("chan.recv=nth:2,seed=5");
     FaultInjector FI(Plan);
@@ -391,7 +396,8 @@ TEST(MachineFaults, TracedRunMatchesUntracedUnderFaults) {
 TEST(Supervision, EffectFreeFaultIsRestartedAndRunRecovers) {
   // thread.start faults are always effect-free; with a restart budget
   // the run must recover and produce the fault-free result.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   FaultPlan Plan = *parseFaultSpec("thread.start=nth:1,seed=3");
   FaultInjector FI(Plan);
   ParallelExecOptions O;
@@ -418,7 +424,8 @@ TEST(Supervision, EffectFreeFaultIsRestartedAndRunRecovers) {
 TEST(Supervision, ExhaustedBudgetEscalatesToAbort) {
   // every:1 on thread.start kills every attempt: the budget runs dry and
   // the fault escalates to the quiescence abort.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   FaultPlan Plan = *parseFaultSpec("thread.start=every:1");
   FaultInjector FI(Plan);
   ParallelExecOptions O;
@@ -443,7 +450,8 @@ TEST(Supervision, FaultAfterFirstSendIsNotReplayed) {
   // The producer's second send faults: the dying attempt already
   // externalized one value, so replaying it could duplicate effects —
   // the supervisor must escalate instead of restarting.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   FaultPlan Plan = *parseFaultSpec("chan.send=nth:2");
   FaultInjector FI(Plan);
   ParallelExecOptions O;
@@ -466,7 +474,8 @@ TEST(Supervision, PlainProgramErrorsStayFailFast) {
   std::string Source = std::string(programs::MessagePassing) + R"prog(
 def crash(a : int) : int { 10 / a }
 )prog";
-  Pipeline P = mustCompile(Source);
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
   ParallelExecOptions O;
   O.MaxRestarts = 5;
   ParallelExec Exec(P.Checked, O);
@@ -480,7 +489,8 @@ def crash(a : int) : int { 10 / a }
 }
 
 TEST(Supervision, RestartEmitsTraceInstantsAndBackoffIsDeterministic) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   auto Run = [&](uint64_t &BackoffOut) {
     FaultPlan Plan = *parseFaultSpec("thread.start=nth:1");
     FaultInjector FI(Plan);
@@ -532,7 +542,8 @@ def spin() : int {
   i
 }
 )prog";
-  Pipeline P = mustCompile(Source);
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
   TraceSession Trace;
   ParallelExecOptions O;
   O.WatchdogMillis = 100;
@@ -555,7 +566,8 @@ def spin() : int {
 TEST(Watchdog, DoesNotFireJustUnderBudget) {
   // The same pipeline workload finishing well inside a generous budget:
   // no firing, no watchdog instants in the trace.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   TraceSession Trace;
   ParallelExecOptions O;
   O.WatchdogMillis = 30'000;
@@ -595,7 +607,8 @@ TEST(Shutdown, ChannelCreatedAfterAbortIsBornAborted) {
 //===----------------------------------------------------------------------===//
 
 TEST(Chaos, SeededSweepNeverHangsAndRecoveredRunsAreExact) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   constexpr int64_t Count = 10;
   const Value Expected0 = Value::unitVal();
   const Value Expected1 = Value::intVal(45); // sum 0..9

@@ -13,7 +13,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/CompilePipeline.h"
-#include "driver/Driver.h"
 
 #include <gtest/gtest.h>
 
@@ -53,15 +52,16 @@ const DeriveCase DeriveCases[] = {
 TEST(Golden, DeriveAndDotAreByteIdentical) {
   for (const DeriveCase &C : DeriveCases) {
     SCOPED_TRACE(C.Stem);
-    Expected<Pipeline> P =
-        compile(readFile(std::string(FEARLESS_SOURCE_DIR) + "/" + C.Path));
-    ASSERT_TRUE(P.hasValue()) << (P ? "" : P.error().render());
+    Expected<std::shared_ptr<const CompiledArtifact>> A = buildArtifact(
+        readFile(std::string(FEARLESS_SOURCE_DIR) + "/" + C.Path));
+    ASSERT_TRUE(A.hasValue()) << (A ? "" : A.error().render());
+    const Pipeline &P = (*A)->P;
     const CheckedFunction &Fn =
-        P->Checked.Functions.at(P->Prog->Names.intern(C.Fn));
+        P.Checked.Functions.at(P.Prog->Names.lookup(C.Fn));
     ASSERT_TRUE(Fn.Deriv.has_value());
-    EXPECT_EQ(printDerivation(*Fn.Deriv, P->Prog->Names),
+    EXPECT_EQ(printDerivation(*Fn.Deriv, P.Prog->Names),
               golden(std::string(C.Stem) + ".derive"));
-    EXPECT_EQ(printDerivationDot(*Fn.Deriv, P->Prog->Names),
+    EXPECT_EQ(printDerivationDot(*Fn.Deriv, P.Prog->Names),
               golden(std::string(C.Stem) + ".dot"));
   }
 }
@@ -71,7 +71,7 @@ TEST(Golden, CheckStatsAreByteIdentical) {
     std::string Path = std::string("tests/fixtures/corpus_") + Shape + ".fls";
     SCOPED_TRACE(Path);
     Expected<std::shared_ptr<const CompiledArtifact>> A = buildArtifact(
-        readFile(std::string(FEARLESS_SOURCE_DIR) + "/" + Path), {});
+        readFile(std::string(FEARLESS_SOURCE_DIR) + "/" + Path));
     ASSERT_TRUE(A.hasValue()) << (A ? "" : A.error().render());
     EXPECT_EQ(renderCheckOutput(**A, Path, /*Stats=*/true),
               golden(std::string("corpus_") + Shape + ".stats"));

@@ -21,7 +21,8 @@ using namespace fearless::testutil;
 namespace {
 
 TEST(Invariants, CleanRunPassesAll) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   ThreadId T = M.createThread();
   Loc List = buildSll(P, M, T, {1, 2, 3, 4, 5});
@@ -33,7 +34,8 @@ TEST(Invariants, CleanRunPassesAll) {
 }
 
 TEST(Invariants, IsoDominationHoldsAfterDllSurgery) {
-  Pipeline P = mustCompile(programs::DllSuite);
+  auto Built = mustBuild(programs::DllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   ThreadId T = M.createThread();
   Loc List = buildDll(P, M, T, {10, 20, 30});
@@ -46,7 +48,8 @@ TEST(Invariants, IsoDominationHoldsAfterDllSurgery) {
 }
 
 TEST(Invariants, InjectedIsoAliasIsCaught) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   ThreadId T = M.createThread();
   Loc List = buildSll(P, M, T, {1, 2});
@@ -62,7 +65,8 @@ TEST(Invariants, InjectedIsoAliasIsCaught) {
 }
 
 TEST(Invariants, InjectedRefCountDriftIsCaught) {
-  Pipeline P = mustCompile(programs::DllSuite);
+  auto Built = mustBuild(programs::DllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   ThreadId T = M.createThread();
   Loc List = buildDll(P, M, T, {1, 2, 3});
@@ -75,7 +79,8 @@ TEST(Invariants, InjectedRefCountDriftIsCaught) {
 }
 
 TEST(Invariants, InjectedReservationOverlapIsCaught) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   ThreadId T1 = M.createThread();
   ThreadId T2 = M.createThread();
@@ -89,7 +94,8 @@ TEST(Invariants, InjectedReservationOverlapIsCaught) {
 }
 
 TEST(Invariants, ReservationClosureCatchesEscapedReference) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   ThreadId T = M.createThread();
   Loc List = buildSll(P, M, T, {1, 2});
@@ -107,7 +113,8 @@ TEST(Invariants, ReservationClosureCatchesEscapedReference) {
 TEST(Invariants, StuckStateOnInjectedReservationViolation) {
   // A thread whose argument list was never placed in its reservation gets
   // stuck on the very first field access — the dynamic check of §3.2.
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   ThreadId Owner = M.createThread();
   Loc List = buildSll(P, M, Owner, {1, 2, 3});
@@ -122,7 +129,8 @@ TEST(Invariants, ViolationInvisibleWithChecksErased) {
   // The same injected violation goes unnoticed when the dynamic checks
   // are erased — demonstrating that the checks (not luck) catch it, and
   // why erasure is only sound for well-typed programs.
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   MachineOptions Opts;
   Opts.CheckReservations = false;
   Machine M(P.Checked, Opts);

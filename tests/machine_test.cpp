@@ -23,7 +23,7 @@ using namespace fearless::testutil;
 namespace {
 
 /// Builds an sll in a fresh thread and runs FnName(list, extra...).
-Expected<MachineSummary> runOnSll(Pipeline &P, Machine &M,
+Expected<MachineSummary> runOnSll(const Pipeline &P, Machine &M,
                                   const char *FnName,
                                   const std::vector<int64_t> &Values,
                                   std::vector<Value> ExtraArgs,
@@ -40,7 +40,7 @@ Expected<MachineSummary> runOnSll(Pipeline &P, Machine &M,
 }
 
 /// Same for the circular dll.
-Expected<MachineSummary> runOnDll(Pipeline &P, Machine &M,
+Expected<MachineSummary> runOnDll(const Pipeline &P, Machine &M,
                                   const char *FnName,
                                   const std::vector<int64_t> &Values,
                                   std::vector<Value> ExtraArgs,
@@ -57,7 +57,8 @@ Expected<MachineSummary> runOnDll(Pipeline &P, Machine &M,
 }
 
 TEST(Machine, SllLength) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   Expected<MachineSummary> R = runOnSll(P, M, "length", {5, 6, 7}, {});
   ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
@@ -65,7 +66,8 @@ TEST(Machine, SllLength) {
 }
 
 TEST(Machine, SllSum) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   Expected<MachineSummary> R = runOnSll(P, M, "sum", {5, 6, 7}, {});
   ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
@@ -73,7 +75,8 @@ TEST(Machine, SllSum) {
 }
 
 TEST(Machine, SllNthValue) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   Expected<MachineSummary> R =
       runOnSll(P, M, "nth_value", {10, 20, 30}, {Value::intVal(2)});
@@ -82,7 +85,8 @@ TEST(Machine, SllNthValue) {
 }
 
 TEST(Machine, SllRemoveTailShrinksList) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   Loc List;
   Expected<MachineSummary> R =
@@ -97,7 +101,8 @@ TEST(Machine, SllRemoveTailShrinksList) {
 }
 
 TEST(Machine, SllPopFront) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   Loc List;
   Expected<MachineSummary> R =
@@ -110,7 +115,8 @@ TEST(Machine, SllPopFront) {
 }
 
 TEST(Machine, DllRemoveTailSizeTwo) {
-  Pipeline P = mustCompile(programs::DllSuite);
+  auto Built = mustBuild(programs::DllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   Loc List;
   Expected<MachineSummary> R =
@@ -131,7 +137,8 @@ TEST(Machine, DllRemoveTailSizeTwo) {
 }
 
 TEST(Machine, DllRemoveTailSizeOneTakesElseBranch) {
-  Pipeline P = mustCompile(programs::DllSuite);
+  auto Built = mustBuild(programs::DllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   Loc List;
   Expected<MachineSummary> R =
@@ -146,7 +153,8 @@ TEST(Machine, DllRemoveTailSizeOneTakesElseBranch) {
 }
 
 TEST(Machine, DllValueAtWrapsAround) {
-  Pipeline P = mustCompile(programs::DllSuite);
+  auto Built = mustBuild(programs::DllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   Expected<MachineSummary> R =
       runOnDll(P, M, "value_at", {1, 2, 3}, {Value::intVal(4)});
@@ -156,7 +164,8 @@ TEST(Machine, DllValueAtWrapsAround) {
 }
 
 TEST(Machine, DllLength) {
-  Pipeline P = mustCompile(programs::DllSuite);
+  auto Built = mustBuild(programs::DllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   Expected<MachineSummary> R = runOnDll(P, M, "length", {4, 5, 6, 7}, {});
   ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
@@ -164,7 +173,8 @@ TEST(Machine, DllLength) {
 }
 
 TEST(Machine, DllRemoveNext) {
-  Pipeline P = mustCompile(programs::DllSuite);
+  auto Built = mustBuild(programs::DllSuite);
+  const Pipeline &P = Built->P;
   {
     Machine M(P.Checked);
     Loc List;
@@ -189,7 +199,8 @@ TEST(Machine, DllRemoveNext) {
 }
 
 TEST(Machine, DllSetValueAtViaGetNthNode) {
-  Pipeline P = mustCompile(programs::DllSuite);
+  auto Built = mustBuild(programs::DllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   Loc List;
   ThreadId T = M.createThread();
@@ -216,7 +227,8 @@ TEST(Machine, DllSetValueAtViaGetNthNode) {
 }
 
 TEST(Machine, DllInsertAfterSplices) {
-  Pipeline P = mustCompile(programs::DllSuite);
+  auto Built = mustBuild(programs::DllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   ThreadId T = M.createThread();
   Loc List = buildDll(P, M, T, {10, 20, 30});
@@ -254,7 +266,8 @@ def drive(count : int) : bool {
   rb_check(t) && rb_size(t) == count
 }
 )prog";
-  Pipeline P = mustCompile(Source);
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   M.spawn(sym(P, "drive"), {Value::intVal(200)});
   Expected<MachineSummary> R = M.run();
@@ -266,7 +279,8 @@ def drive(count : int) : bool {
 TEST(Machine, CheckpointRestoreRewindsTheWholeSession) {
   // Save mid-run, finish, restore, finish again: the second finish is
   // indistinguishable from the first — results, stats, heap, steps.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   M.spawn(sym(P, "producer"), {Value::intVal(3)});
   M.spawn(sym(P, "consumer"), {Value::intVal(3)});
@@ -306,7 +320,8 @@ TEST(Machine, CheckpointRestoreRewindsTheFaultInjector) {
   // The injector's occurrence counters and the last fault are session
   // state too: after a restore, the fault that ended the run fires again
   // at the same step, and before it fires no fault is on record.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   FaultInjector FI(*parseFaultSpec("sched.step=nth:8"));
   MachineOptions MO;
   MO.Faults = &FI;
@@ -344,7 +359,8 @@ TEST(Machine, CheckpointRestoreRewindsTheFaultInjector) {
 
 TEST(Machine, RunReportsWallMicros) {
   // A run long enough to take at least a microsecond on any machine.
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   std::vector<int64_t> Values(2000, 1);
   ASSERT_TRUE(runOnSll(P, M, "sum", Values, {}).hasValue());
@@ -353,7 +369,8 @@ TEST(Machine, RunReportsWallMicros) {
 }
 
 TEST(Machine, ReservationChecksRunButNeverFire) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   Expected<MachineSummary> R = runOnSll(P, M, "sum", {1, 2, 3}, {});
   ASSERT_TRUE(R.hasValue());
@@ -361,7 +378,8 @@ TEST(Machine, ReservationChecksRunButNeverFire) {
 }
 
 TEST(Machine, ChecksCanBeErased) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   MachineOptions Opts;
   Opts.CheckReservations = false;
   Machine M(P.Checked, Opts);

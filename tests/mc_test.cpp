@@ -51,7 +51,7 @@ def folder(count : int) : int {
 }
 )";
 
-mc::MachineFactory pipelineFactory(Pipeline &P, int64_t Count) {
+mc::MachineFactory pipelineFactory(const Pipeline &P, int64_t Count) {
   return [&P, Count]() {
     auto M = std::make_unique<Machine>(P.Checked);
     M->spawn(sym(P, "producer"), {Value::intVal(Count)});
@@ -68,7 +68,8 @@ TEST(Mc, ExhaustiveProducerConsumerPipelineVerifiesClean) {
   // Replaces the old fixed-seed sweep: every schedule in the bounded
   // space, not twelve samples of it. The per-state §6 validator plus the
   // end-state result check run on each one.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   mc::McOptions Opts;
   Opts.Validate = [&P](const Machine &M) -> std::optional<std::string> {
     if (auto Problem = checkReservationsDisjoint(M))
@@ -92,7 +93,8 @@ TEST(Mc, DporExploresFarFewerSchedulesThanNaive) {
   // combinatorial (every step of a 2-thread run can branch), so naive
   // DFS gets a schedule budget; DPOR exhausts the same space completely
   // within it. Both find no violations.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   mc::McOptions Dpor;
   Dpor.MaxSchedules = 500;
   mc::McOptions Naive = Dpor;
@@ -117,7 +119,8 @@ TEST(Mc, PreemptionBoundRestrictsTheSpace) {
   // turn's first continuation: bound 0 must explore strictly fewer
   // schedules than the unbounded search, in DPOR and in naive mode, and
   // count what it left out as bound-clipped rather than pruned.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   for (bool Dpor : {true, false}) {
     const char *Mode = Dpor ? "dpor" : "naive";
     mc::McOptions Unbounded;
@@ -148,7 +151,8 @@ TEST(Mc, PreemptionBoundRestrictsTheSpace) {
 //===----------------------------------------------------------------------===//
 
 TEST(Mc, DeadlockYieldsCounterexampleWithBlockedDump) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   mc::MachineFactory Factory = [&P]() {
     auto M = std::make_unique<Machine>(P.Checked);
     M->spawn(sym(P, "consumer"), {Value::intVal(1)}); // no producer
@@ -177,7 +181,8 @@ TEST(Mc, DeadlockYieldsCounterexampleWithBlockedDump) {
 }
 
 TEST(Mc, ScheduleDependentResultYieldsDivergenceCounterexample) {
-  Pipeline P = mustCompile(RacyFold);
+  auto Built = mustBuild(RacyFold);
+  const Pipeline &P = Built->P;
   mc::MachineFactory Factory = [&P]() {
     auto M = std::make_unique<Machine>(P.Checked);
     M->spawn(sym(P, "folder"), {Value::intVal(2)});
@@ -204,7 +209,8 @@ TEST(Mc, ScheduleDependentResultYieldsDivergenceCounterexample) {
 }
 
 TEST(Mc, StepValidatorFailureIsACounterexampleNotAnError) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   mc::MachineFactory Factory = [&P]() {
     MachineOptions MO;
     MO.StepValidator = [](const Machine &) {
@@ -229,7 +235,8 @@ TEST(Mc, StepValidatorFailureIsACounterexampleNotAnError) {
 //===----------------------------------------------------------------------===//
 
 TEST(Mc, RecordedScheduleReplaysBitIdenticalTwice) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   auto Fresh = [&P]() {
     auto M = std::make_unique<Machine>(P.Checked);
     M->spawn(sym(P, "producer"), {Value::intVal(5)});
@@ -269,7 +276,8 @@ TEST(Mc, ReplayComposesWithFaultInjection) {
   // The same schedule plus the same fault plan (fresh injector each run
   // — its occurrence counters are run-local state) reproduces the same
   // injected failure, bit for bit.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   Expected<FaultPlan> Plan = parseFaultSpec("chan.send=nth:2");
   ASSERT_TRUE(Plan.hasValue());
   auto Fresh = [&](FaultInjector &FI) {
@@ -303,7 +311,8 @@ TEST(Mc, FaultOutcomesAreAllowedNotCounterexamples) {
   // mc composed with --faults explores the interleavings of the fault
   // pattern; the injected fault itself must not read as a violation, and
   // divergence checking is the caller's job to disable.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   FaultPlan Plan = *parseFaultSpec("chan.send=nth:1");
   std::unique_ptr<FaultInjector> Slot;
   mc::MachineFactory Factory = [&]() {
@@ -492,7 +501,8 @@ TEST(Mc, EveryRestoredScheduleSeesTheInjectedFault) {
   // restore must rewind the injector's occurrence count with the heap,
   // or the schedules after the first would run fault-free to
   // completion.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   FaultPlan Plan = *parseFaultSpec("chan.send=nth:2");
   std::unique_ptr<FaultInjector> Slot;
   mc::MachineFactory Factory = [&]() {
@@ -556,7 +566,8 @@ TEST(Mc, CorruptScheduleFilesDiagnoseCleanly) {
 }
 
 TEST(Mc, MismatchedScheduleDiagnosesCleanly) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   auto Fresh = [&P]() {
     auto M = std::make_unique<Machine>(P.Checked);
     M->spawn(sym(P, "producer"), {Value::intVal(2)});

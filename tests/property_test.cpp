@@ -42,7 +42,8 @@ class SllModelTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(SllModelTest, RandomOpsMatchVectorModel) {
   // Drive push_front / pop_front / list_remove_tail through the machine
   // against a std::vector reference model.
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   std::mt19937_64 Rng(GetParam());
   std::vector<int64_t> Model;
 
@@ -123,7 +124,8 @@ def run_inserts(t : rb_tree, ops : op_list) : bool consumes ops {
   rb_check(t)
 }
 )prog";
-  Pipeline P = mustCompile(Source);
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
 
   std::mt19937_64 Rng(Seed);
   std::set<int64_t> Model;
@@ -191,7 +193,8 @@ TEST(ScheduleTest, PipelineResultIndependentOfSchedule) {
   // Formerly a 12-seed sample; now the model checker walks *every*
   // schedule in the bounded space (divergence check on), validating the
   // result and reservation disjointness in each final state.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   mc::McOptions Opts;
   Opts.Validate = [](const Machine &M) -> std::optional<std::string> {
     if (auto Problem = checkReservationsDisjoint(M))
@@ -219,7 +222,8 @@ TEST(ScheduleTest, PipelineResultIndependentOfSchedule) {
 TEST(ScheduleTest, LongPipelineStillSumsUnderASampledSchedule) {
   // The count-20 pipeline is too deep to exhaust; keep one seeded run as
   // a long-execution smoke over the same property.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   M.spawn(sym(P, "producer"), {Value::intVal(20)});
   M.spawn(sym(P, "consumer"), {Value::intVal(20)});
@@ -350,12 +354,10 @@ class OracleAgreementTest
     : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(OracleAgreementTest, OracleAndSearchAgree) {
-  CheckerOptions Oracle;
-  Oracle.UseLivenessOracle = true;
-  CheckerOptions Naive;
-  Naive.UseLivenessOracle = false;
-  bool OracleOk = compile(GetParam(), Oracle).hasValue();
-  bool NaiveOk = compile(GetParam(), Naive).hasValue();
+  PipelineOptions Naive;
+  Naive.UseOracle = false;
+  bool OracleOk = buildArtifact(GetParam()).hasValue();
+  bool NaiveOk = buildArtifact(GetParam(), Naive).hasValue();
   EXPECT_EQ(OracleOk, NaiveOk);
   EXPECT_TRUE(OracleOk); // all suite programs are well-typed
 }

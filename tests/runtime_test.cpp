@@ -25,17 +25,17 @@ namespace {
 Expected<MachineSummary> runMain(std::string_view Source,
                                  std::vector<Value> Args = {},
                                  Machine **MOut = nullptr) {
-  Expected<Pipeline> P = compile(Source);
-  if (!P)
-    return P.takeFailure();
-  static std::vector<std::unique_ptr<Pipeline>> Keep;
+  auto A = buildArtifact(Source);
+  if (!A)
+    return A.takeFailure();
+  static std::vector<std::shared_ptr<const CompiledArtifact>> Keep;
   static std::vector<std::unique_ptr<Machine>> Machines;
-  Keep.push_back(std::make_unique<Pipeline>(std::move(*P)));
-  Machines.push_back(std::make_unique<Machine>(Keep.back()->Checked));
+  Keep.push_back(*A);
+  Machines.push_back(std::make_unique<Machine>(Keep.back()->P.Checked));
   Machine &M = *Machines.back();
   if (MOut)
     *MOut = &M;
-  M.spawn(Keep.back()->Prog->Names.intern("main"), std::move(Args));
+  M.spawn(Keep.back()->P.Prog->Names.intern("main"), std::move(Args));
   return M.run();
 }
 
@@ -138,8 +138,9 @@ TEST(Runtime, HeapExhaustionIsDiagnosedNotUndefined) {
   // A full heap must refuse the allocation (and the interpreter turn it
   // into a stuck-state diagnostic), not write past the block directory —
   // the old assert vanished under NDEBUG.
-  Pipeline P = mustCompile("struct data { value : int; }\n"
+  auto Built = mustBuild("struct data { value : int; }\n"
                            "def main() : unit { }");
+  const Pipeline &P = Built->P;
   Heap Small(P.Checked.Structs, /*MaxObjects=*/1);
   Symbol DataSym = sym(P, "data");
   size_t Capacity = Small.capacity(); // rounds up to one block
@@ -153,8 +154,9 @@ TEST(Runtime, HeapLifetimeAcrossBlockBoundaries) {
   // Objects are constructed on allocation and destroyed at teardown only
   // up to size(); block boundaries are where raw storage and directory
   // entries appear. (The ASan pass of tools/ci.sh runs this too.)
-  Pipeline P = mustCompile("struct node { value : int; next : node; }\n"
+  auto Built = mustBuild("struct node { value : int; next : node; }\n"
                            "def main() : unit { }");
+  const Pipeline &P = Built->P;
   Symbol NodeSym = sym(P, "node");
   for (size_t N : {size_t(0), size_t(1), size_t(Heap::BlockSize),
                    size_t(Heap::BlockSize) + 1}) {
@@ -172,8 +174,9 @@ TEST(Runtime, HeapLifetimeAcrossBlockBoundaries) {
 }
 
 TEST(Runtime, HeapSnapshotRestoreShrinksAndRegrows) {
-  Pipeline P = mustCompile("struct node { value : int; next : node; }\n"
+  auto Built = mustBuild("struct node { value : int; next : node; }\n"
                            "def main() : unit { }");
+  const Pipeline &P = Built->P;
   Symbol NodeSym = sym(P, "node");
   Heap H(P.Checked.Structs);
   for (uint32_t I = 0; I < 3; ++I)
@@ -217,8 +220,9 @@ TEST(Runtime, HeapSnapshotRestoreShrinksAndRegrows) {
 }
 
 TEST(Runtime, AllocatingUnknownStructFailsCleanly) {
-  Pipeline P = mustCompile("struct data { value : int; }\n"
+  auto Built = mustBuild("struct data { value : int; }\n"
                            "def main() : unit { }");
+  const Pipeline &P = Built->P;
   Heap H(P.Checked.Structs);
   EXPECT_FALSE(H.allocate(P.Prog->Names.intern("no_such_struct"))
                    .isValid());
@@ -337,12 +341,12 @@ def work(n : int) : int {
   acc
 }
 )";
-  Expected<Pipeline> P = compile(Source);
-  ASSERT_TRUE(P.hasValue());
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
   Value First;
   for (uint64_t Seed : {0u, 1u, 42u}) {
-    Machine M(P->Checked);
-    M.spawn(P->Prog->Names.intern("work"), {Value::intVal(50)});
+    Machine M(P.Checked);
+    M.spawn(sym(P, "work"), {Value::intVal(50)});
     Expected<MachineSummary> R = M.run(Seed);
     ASSERT_TRUE(R.hasValue());
     if (Seed == 0)

@@ -122,7 +122,8 @@ def sink(n : int) : int {
 
 TEST(TaskScheduler, TokenRingOfManyTasksCompletes) {
   constexpr int64_t Hops = 200;
-  Pipeline P = mustCompile(RingProgram);
+  auto Built = mustBuild(RingProgram);
+  const Pipeline &P = Built->P;
   ParallelExecOptions O;
   O.WatchdogMillis = 60'000; // safety net: a protocol hang fails, not hangs
   ParallelExec Exec(P.Checked, O);
@@ -143,7 +144,8 @@ TEST(TaskScheduler, ManyTasksFewWorkersWithTightPreemption) {
   // 17 language threads on 2 workers with an aggressive preemption
   // quantum: heavy multiplexing, migration, and stealing pressure must
   // not change the answer.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   ParallelExecOptions O;
   O.NumWorkers = 2;
   O.PreemptQuantum = 16;
@@ -166,7 +168,8 @@ TEST(TaskScheduler, LoneConsumerParksOnceThenQuiesces) {
   // A single receiver with no producer: the task must *park* (not block a
   // worker), which completes quiescence and wakes it with a clean
   // cancellation. The new counters surface the protocol in the JSON.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   ParallelExecOptions O;
   O.WatchdogMillis = 10'000;
   ParallelExec Exec(P.Checked, O);
@@ -189,7 +192,8 @@ TEST(TaskScheduler, SchedSeedVariesScheduleNotResults) {
   // round-robin default; others permute placement and steal order) must
   // produce the identical ring result.
   constexpr int64_t Hops = 60;
-  Pipeline P = mustCompile(RingProgram);
+  auto Built = mustBuild(RingProgram);
+  const Pipeline &P = Built->P;
   for (uint64_t Seed = 0; Seed <= 7; ++Seed) {
     ParallelExecOptions O;
     O.SchedSeed = Seed;
@@ -234,7 +238,7 @@ using SpawnList = std::vector<std::pair<const char *, std::vector<Value>>>;
 
 /// Runs \p Spawns on the task scheduler under \p O and returns the
 /// result vector, failing the test on error.
-std::vector<Value> runTasks(Pipeline &P, ParallelExecOptions O,
+std::vector<Value> runTasks(const Pipeline &P, ParallelExecOptions O,
                             const SpawnList &Spawns,
                             RuntimeMetrics &MetricsOut) {
   O.WatchdogMillis = 60'000;
@@ -249,7 +253,7 @@ std::vector<Value> runTasks(Pipeline &P, ParallelExecOptions O,
 
 /// The differential oracle: \p Spawns on the deterministic Machine
 /// (tree-walking interpreter, reservation checks on, round robin).
-std::vector<Value> runOracle(Pipeline &P, const SpawnList &Spawns,
+std::vector<Value> runOracle(const Pipeline &P, const SpawnList &Spawns,
                              RuntimeMetrics &MetricsOut) {
   Machine M(P.Checked);
   for (const auto &[Fn, Args] : Spawns)
@@ -304,7 +308,8 @@ TEST(ModeParity, ResultsBitIdenticalAcrossExecutors) {
        {{"maker", {Value::intVal(4)}}, {"taker", {}}}},
   };
   for (const Workload &W : Workloads) {
-    Pipeline P = mustCompile(W.Source);
+    auto Built = mustBuild(W.Source);
+    const Pipeline &P = Built->P;
     RuntimeMetrics TaskM, OracleM;
     std::vector<Value> TaskR = runTasks(P, {}, W.Spawns, TaskM);
     std::vector<Value> OracleR = runOracle(P, W.Spawns, OracleM);
@@ -315,7 +320,8 @@ TEST(ModeParity, ResultsBitIdenticalAcrossExecutors) {
 TEST(ModeParity, DisconnectOracleAcrossEightSchedSeeds) {
   // The `if disconnected` workload on the task scheduler: eight
   // scheduling seeds must all reproduce the Machine's results.
-  Pipeline P = mustCompile(DllExchange);
+  auto Built = mustBuild(DllExchange);
+  const Pipeline &P = Built->P;
   const SpawnList Spawns = {{"maker", {Value::intVal(4)}}, {"taker", {}}};
   RuntimeMetrics OracleM;
   std::vector<Value> Oracle = runOracle(P, Spawns, OracleM);
@@ -337,7 +343,8 @@ TEST(ModeParity, DisconnectOracleAcrossEightSchedSeeds) {
 //===----------------------------------------------------------------------===//
 
 TEST(SupervisionOnTasks, EffectFreeFaultRecoversOnOneAndTwoWorkers) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   for (size_t Workers : {size_t(1), size_t(2)}) {
     FaultPlan Plan = *parseFaultSpec("thread.start=nth:1,seed=3");
     FaultInjector FI(Plan);
@@ -366,7 +373,8 @@ TEST(SupervisionOnTasks, EffectFreeFaultRecoversOnOneAndTwoWorkers) {
 }
 
 TEST(SupervisionOnTasks, ExhaustedBudgetEscalatesToAbort) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   FaultPlan Plan = *parseFaultSpec("thread.start=every:1");
   FaultInjector FI(Plan);
   ParallelExecOptions O;
@@ -391,7 +399,8 @@ TEST(SupervisionOnTasks, ExhaustedBudgetEscalatesToAbort) {
 TEST(SupervisionOnTasks, FaultAfterFirstSendIsNotReplayed) {
   // The dying attempt already externalized a value: the supervisor must
   // escalate, not replay — identical to the OS-thread contract.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   FaultPlan Plan = *parseFaultSpec("chan.send=nth:2");
   FaultInjector FI(Plan);
   ParallelExecOptions O;
@@ -418,7 +427,8 @@ TEST(BackoffInterrupt, HardAbortCancelsPendingMultiSecondBackoff) {
   // 5+ seconds. The watchdog (no grace: straight to hard abort) must
   // interrupt that backoff promptly; under the old uninterruptible
   // sleep_for the run could not end before the full backoff elapsed.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   FaultPlan Plan = *parseFaultSpec("thread.start=every:1");
   FaultInjector FI(Plan);
   ParallelExecOptions O;
@@ -445,7 +455,8 @@ TEST(BackoffInterrupt, ShutdownDuringBackoffIsCleanCancellation) {
   // off. The post-restart attempt must observe the closed run as a clean
   // cancellation — not retry into closed channels and count a fresh
   // fault or escalate.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   FaultPlan Plan = *parseFaultSpec("thread.start=every:1");
   FaultInjector FI(Plan);
   ParallelExecOptions O;

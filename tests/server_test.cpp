@@ -276,6 +276,32 @@ TEST(DerivationCache, ZeroBudgetDisablesCaching) {
   EXPECT_EQ(Cache.stats().Misses, 2u);
 }
 
+TEST(RunArtifact, UnknownFunctionsNeverGrowTheSharedInterner) {
+  // The daemon shares one artifact across concurrent sessions, so a run
+  // naming a function the program lacks must not insert into the
+  // program's interner while other sessions read it.
+  auto A = buildArtifact(ListProgram);
+  ASSERT_TRUE(A.hasValue()) << (A ? "" : A.error().render());
+  const CompiledArtifact &Art = **A;
+  size_t NamesBefore = Art.P.Prog->Names.size();
+  std::vector<std::thread> Threads;
+  std::vector<RunOutcome> Outcomes(4);
+  for (size_t I = 0; I < Outcomes.size(); ++I)
+    Threads.emplace_back([&, I] {
+      RunSpec Spec;
+      Spec.Fn = "missing_" + std::to_string(I);
+      Outcomes[I] = runArtifact(Art, Spec);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (size_t I = 0; I < Outcomes.size(); ++I) {
+    EXPECT_EQ(Outcomes[I].Exit, 1);
+    EXPECT_EQ(Outcomes[I].Err,
+              "no function 'missing_" + std::to_string(I) + "'\n");
+  }
+  EXPECT_EQ(Art.P.Prog->Names.size(), NamesBefore);
+}
+
 //===----------------------------------------------------------------------===//
 // Live server fixture
 //===----------------------------------------------------------------------===//
@@ -322,6 +348,12 @@ WireRequest checkRequest(const char *Source, int64_t Id = 1) {
   R.Id = Id;
   R.Name = "test.fls";
   R.Source = Source;
+  return R;
+}
+
+WireRequest analyzeRequest(const char *Source, int64_t Id = 1) {
+  WireRequest R = checkRequest(Source, Id);
+  R.Op = WireOp::Analyze;
   return R;
 }
 
@@ -450,6 +482,40 @@ TEST_F(ServerTest, RunIsBitIdenticalToStandaloneArtifactRun) {
   EXPECT_EQ(O.Exit, Cold->Exit);
   EXPECT_EQ(O.Out, Cold->Out);
   EXPECT_EQ(O.Err, Cold->Err);
+}
+
+TEST_F(ServerTest, AnalyzeMatchesStandaloneAndLeavesTheCacheAlone) {
+  startServerAt({});
+  WireClient C = connectClient();
+  ASSERT_TRUE(C.request(checkRequest(ListProgram, 1)).hasValue());
+  RuntimeMetrics AfterCheck = S->metricsSnapshot();
+  WireRequest Json = analyzeRequest(ListProgram, 2);
+  Json.Json = true;
+  Expected<WireResponse> First = C.request(Json);
+  Expected<WireResponse> Second = C.request(analyzeRequest(ListProgram, 3));
+  ASSERT_TRUE(First.hasValue());
+  ASSERT_TRUE(Second.hasValue());
+  // Analyze builds fresh, outside the cache: no hit, no miss.
+  EXPECT_FALSE(First->Cached);
+  EXPECT_FALSE(Second->Cached);
+  EXPECT_EQ(S->metricsSnapshot().CacheMisses, AfterCheck.CacheMisses);
+  EXPECT_EQ(S->metricsSnapshot().CacheHits, AfterCheck.CacheHits);
+
+  SourceAnalysisOptions AO;
+  AO.Json = true;
+  EXPECT_EQ(First->Out,
+            analyzeSourceText(ListProgram, "test.fls", AO).Rendered);
+  EXPECT_EQ(Second->Out, analyzeSourceText(ListProgram, "test.fls").Rendered);
+  EXPECT_EQ(First->Exit, 0);
+}
+
+TEST_F(ServerTest, AnalyzeOfBrokenProgramIsHardError) {
+  startServerAt({});
+  WireClient C = connectClient();
+  Expected<WireResponse> R = C.request(analyzeRequest(BrokenProgram, 1));
+  ASSERT_TRUE(R.hasValue());
+  EXPECT_EQ(R->Exit, 3);
+  EXPECT_EQ(R->Out, analyzeSourceText(BrokenProgram, "test.fls").Rendered);
 }
 
 TEST_F(ServerTest, CompileFailureMapsToParseExitAndIsCached) {

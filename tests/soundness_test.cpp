@@ -44,7 +44,8 @@ TEST(Soundness, EveryStepOfDllRemoveTailIsSound) {
   // Formerly a three-seed sample; the model checker now walks the full
   // (here: single-threaded, so singleton) schedule space with the §6
   // validators machine-checking every small step.
-  Pipeline P = mustCompile(programs::DllSuite);
+  auto Built = mustBuild(programs::DllSuite);
+  const Pipeline &P = Built->P;
   Expected<mc::McReport> Rep = mc::explore(
       [&P]() {
         MachineOptions Opts;
@@ -67,7 +68,8 @@ TEST(Soundness, EveryStepOfMessagePipelineIsSound) {
   // Formerly seeds {0, 3, 9}; now every interleaving of the two-thread
   // whole-list pipeline, with the validators run at each step of each
   // schedule.
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   Expected<mc::McReport> Rep = mc::explore(
       [&P]() {
         MachineOptions Opts;
@@ -98,7 +100,8 @@ def drive(count : int) : bool {
   rb_check(t)
 }
 )prog";
-  Pipeline P = mustCompile(Source);
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
   MachineOptions Opts;
   Opts.StepValidator = validateState;
   Machine M(P.Checked, Opts);
@@ -111,7 +114,8 @@ def drive(count : int) : bool {
 TEST(Soundness, ValidatorItselfDetectsInjectedBreakage) {
   // Sanity for the harness: a validator that always complains aborts the
   // run immediately.
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   MachineOptions Opts;
   Opts.StepValidator = [](const Machine &) {
     return std::optional<std::string>("synthetic failure");
@@ -140,31 +144,31 @@ struct AblationGuard {
 TEST(Ablation, WholesaleDropsAreLoadBearing) {
   AblationGuard Guard;
   // Baseline: everything checks.
-  ASSERT_TRUE(compile(programs::SllSuite).hasValue());
-  ASSERT_TRUE(compile(programs::Extras).hasValue());
-  ASSERT_TRUE(compile(programs::DllSuite).hasValue());
+  ASSERT_TRUE(buildArtifact(programs::SllSuite).hasValue());
+  ASSERT_TRUE(buildArtifact(programs::Extras).hasValue());
+  ASSERT_TRUE(buildArtifact(programs::DllSuite).hasValue());
 
   conformAblation().WholesaleDrops = false;
   // The sll suite's pop_front/remove_tail park the returned payload under
   // a local node's tracking; scope exit must drop the node's region
   // wholesale to keep the payload capability alive.
-  EXPECT_FALSE(compile(programs::SllSuite).hasValue());
-  EXPECT_FALSE(compile(programs::Extras).hasValue());
+  EXPECT_FALSE(buildArtifact(programs::SllSuite).hasValue());
+  EXPECT_FALSE(buildArtifact(programs::Extras).hasValue());
   // The dll suite survives: its merges invalidate dead locals through the
   // validity meet (a different weakening), showing the two mechanisms are
   // separable.
-  EXPECT_TRUE(compile(programs::DllSuite).hasValue());
+  EXPECT_TRUE(buildArtifact(programs::DllSuite).hasValue());
 }
 
 TEST(Ablation, ProtectedGuardIsLoadBearing) {
   AblationGuard Guard;
-  ASSERT_TRUE(compile(programs::DllSuite).hasValue());
+  ASSERT_TRUE(buildArtifact(programs::DllSuite).hasValue());
 
   conformAblation().ProtectedGuard = false;
   // Without the guard, branch conformance retracts the field whose target
   // holds the live result (dropping the result's region) and the merge
   // fails.
-  EXPECT_FALSE(compile(programs::DllSuite).hasValue());
+  EXPECT_FALSE(buildArtifact(programs::DllSuite).hasValue());
 }
 
 TEST(Ablation, SimpleProgramsSurviveAblations) {
@@ -180,7 +184,7 @@ def f(a : data, c : bool) : int {
   if (c) { a.value } else { 0 - a.value }
 }
 )";
-  EXPECT_TRUE(compile(Simple).hasValue());
+  EXPECT_TRUE(buildArtifact(Simple).hasValue());
 }
 
 } // namespace

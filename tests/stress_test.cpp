@@ -26,7 +26,8 @@ namespace {
 TEST(Stress, DeepRecursionDoesNotOverflow) {
   // sum_node recurses once per list node; 200k nodes would blow a C stack
   // but the CEK machine keeps continuations on the heap.
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   const size_t N = 200'000;
   std::vector<int64_t> Values(N, 1);
   Machine M(P.Checked);
@@ -39,7 +40,7 @@ TEST(Stress, DeepRecursionDoesNotOverflow) {
 }
 
 TEST(Stress, LargeLoopWorkload) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 def work(n : int) : int {
   let acc = 0;
   let i = 0;
@@ -47,6 +48,7 @@ def work(n : int) : int {
   acc
 }
 )");
+  const Pipeline &P = Built->P;
   Machine M(P.Checked);
   M.spawn(sym(P, "work"), {Value::intVal(1'000'000)});
   Expected<MachineSummary> R = M.run();
@@ -55,7 +57,8 @@ def work(n : int) : int {
 
 TEST(Stress, ConcatMatchesModel) {
   // concat(l1_hd, l2_hd) appends l2 to l1, consuming l2 (Fig. 14).
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   std::mt19937_64 Rng(7);
   for (int Trial = 0; Trial < 20; ++Trial) {
     std::vector<int64_t> A(1 + Rng() % 8), B(1 + Rng() % 8);
@@ -118,7 +121,7 @@ TEST(Stress, CheckerFuzzOnMutatedSuites) {
     size_t Pos = Rng() % Mutated.size();
     size_t Len = 1 + Rng() % 6;
     Mutated.erase(Pos, Len);
-    (void)compile(Mutated); // must not crash
+    (void)buildArtifact(Mutated); // must not crash
   }
   SUCCEED();
 }
@@ -134,10 +137,10 @@ TEST(Stress, ManyRegionsInOneFunction) {
   for (int I = 0; I < 100; ++I)
     Source += " + v" + std::to_string(I) + ".value";
   Source += "\n}\n";
-  Expected<Pipeline> P = compile(Source);
-  ASSERT_TRUE(P.hasValue()) << (P ? "" : P.error().render());
-  Machine M(P->Checked);
-  M.spawn(P->Prog->Names.intern("f"));
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
+  Machine M(P.Checked);
+  M.spawn(sym(P, "f"));
   Expected<MachineSummary> R = M.run();
   ASSERT_TRUE(R.hasValue());
   EXPECT_EQ(R->ThreadResults[0], Value::intVal(99 * 100 / 2));

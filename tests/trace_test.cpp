@@ -479,7 +479,8 @@ TEST(TraceAlloc, NullBufferSpanIsAllocationFree) {
 //===----------------------------------------------------------------------===//
 
 TEST(TraceExport, MachineTraceIsValidChromeJson) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   TraceSession Trace;
   MachineOptions Opts;
   Opts.Trace = &Trace;
@@ -505,7 +506,8 @@ TEST(TraceExport, MachineTraceIsValidChromeJson) {
 }
 
 TEST(TraceExport, ParallelMergeIsValidJsonAcrossThreads) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   TraceSession Trace;
   ParallelExecOptions Opts;
   Opts.Trace = &Trace;
@@ -569,7 +571,7 @@ TEST(TraceExport, ElidedAndTraversedChecksAreDistinguished) {
   // verdict table installed the interpreter answers without a traversal
   // (disconnect.elided); without it the real traversal runs and its span
   // carries the visit count.
-  auto FR = checkSource(R"(
+  auto Built = mustBuild(R"(
 struct gnode { next : gnode; }
 
 def detach(unused : int) : int {
@@ -580,12 +582,10 @@ def detach(unused : int) : int {
   if disconnected(a, b) { 1 } else { 0 }
 }
 )");
-  ASSERT_TRUE(FR.hasValue()) << (FR ? "" : FR.error().render());
-  AnalysisReport Report = analyzeProgram(FR->Checked);
+  const AnalysisReport &Report = Built->Report;
   ASSERT_EQ(Report.Sites.size(), 1u);
   ASSERT_EQ(Report.Sites[0].Verdict, DisconnectVerdict::MustDisconnected);
-  DisconnectVerdictTable Table = Report.verdictTable();
-  Symbol Detach = FR->Prog->Names.intern("detach");
+  Symbol Detach = sym(Built->P, "detach");
 
   auto RunTraced = [&](const DisconnectVerdictTable *Verdicts) {
     TraceSession Trace;
@@ -593,7 +593,7 @@ def detach(unused : int) : int {
     Opts.Trace = &Trace;
     Opts.StaticVerdicts = Verdicts;
     Opts.CrossCheckElision = false;
-    Machine M(FR->Checked, Opts);
+    Machine M(Built->P.Checked, Opts);
     M.spawn(Detach, {Value::intVal(0)});
     Expected<MachineSummary> R = M.run();
     EXPECT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
@@ -605,7 +605,7 @@ def detach(unused : int) : int {
     return Doc;
   };
 
-  Json Elided = RunTraced(&Table);
+  Json Elided = RunTraced(&Built->Verdicts);
   EXPECT_TRUE(hasEvent(Elided, "disconnect.elided"));
   EXPECT_FALSE(hasEvent(Elided, "disconnect.traverse"));
 
@@ -621,7 +621,8 @@ def detach(unused : int) : int {
 //===----------------------------------------------------------------------===//
 
 TEST(TraceExport, TracedRunMatchesUntraced) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
 
   Machine Plain(P.Checked);
   Plain.spawn(sym(P, "producer"), {Value::intVal(25)});

@@ -25,7 +25,8 @@ using namespace fearless::testutil;
 namespace {
 
 TEST(Trie, ChecksAndVerifies) {
-  Pipeline P = mustCompile(programs::BitTrie);
+  auto Built = mustBuild(programs::BitTrie);
+  const Pipeline &P = Built->P;
   EXPECT_GT(P.Verified.StepsChecked, 0u);
 }
 
@@ -33,7 +34,8 @@ TEST(Trie, InsertLookupMatchesMapModel) {
   std::string Source = std::string(programs::BitTrie) + R"prog(
 struct op { key : int; val : int; next : op; used : bool; }
 )prog";
-  Pipeline P = mustCompile(programs::BitTrie);
+  auto Built = mustBuild(programs::BitTrie);
+  const Pipeline &P = Built->P;
 
   for (uint64_t Seed : {1u, 2u, 3u}) {
     std::mt19937_64 Rng(Seed);
@@ -63,10 +65,10 @@ struct op { key : int; val : int; next : op; used : bool; }
     Driver += " + trie_count(t) * 1000000\n}\n";
     ExpectSum += static_cast<int64_t>(Model.size()) * 1000000;
 
-    Expected<Pipeline> DP = compile(Driver);
-    ASSERT_TRUE(DP.hasValue()) << (DP ? "" : DP.error().render());
-    Machine M(DP->Checked);
-    M.spawn(DP->Prog->Names.intern("drive"));
+    auto DBuilt = mustBuild(Driver);
+    const Pipeline &DP = DBuilt->P;
+    Machine M(DP.Checked);
+    M.spawn(sym(DP, "drive"));
     Expected<MachineSummary> R = M.run();
     ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
     EXPECT_EQ(R->ThreadResults[0], Value::intVal(ExpectSum));
@@ -89,11 +91,11 @@ def giver(n : int) : bool {
   trie_send_zero_subtree(t)
 }
 )prog";
-  Expected<Pipeline> P = compile(Source);
-  ASSERT_TRUE(P.hasValue()) << (P ? "" : P.error().render());
-  Machine M(P->Checked);
-  M.spawn(P->Prog->Names.intern("giver"), {Value::intVal(20)});
-  M.spawn(P->Prog->Names.intern("trie_recv_counter"), {});
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
+  Machine M(P.Checked);
+  M.spawn(sym(P, "giver"), {Value::intVal(20)});
+  M.spawn(sym(P, "trie_recv_counter"), {});
   Expected<MachineSummary> R = M.run();
   ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
   EXPECT_EQ(R->ThreadResults[0], Value::boolVal(true));
@@ -115,10 +117,10 @@ def build(n : int) : trie {
   t
 }
 )prog";
-  Expected<Pipeline> P = compile(Source);
-  ASSERT_TRUE(P.hasValue()) << (P ? "" : P.error().render());
-  Machine M(P->Checked);
-  M.spawn(P->Prog->Names.intern("build"), {Value::intVal(64)});
+  auto Built = mustBuild(Source);
+  const Pipeline &P = Built->P;
+  Machine M(P.Checked);
+  M.spawn(sym(P, "build"), {Value::intVal(64)});
   Expected<MachineSummary> R = M.run();
   ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
   ASSERT_TRUE(R->ThreadResults[0].isLoc());

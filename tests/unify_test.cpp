@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -25,10 +25,11 @@ struct node { iso payload : data; iso next : node?; }
 struct pair { iso first : node?; iso second : node?; }
 )";
 
-Expected<Pipeline> compileWith(std::string Body, bool Oracle) {
-  CheckerOptions Opts;
-  Opts.UseLivenessOracle = Oracle;
-  return compile(std::string(Decls) + Body, Opts);
+Expected<std::shared_ptr<const CompiledArtifact>>
+compileWith(std::string Body, bool Oracle) {
+  PipelineOptions Opts;
+  Opts.UseOracle = Oracle;
+  return buildArtifact(std::string(Decls) + Body, Opts);
 }
 
 TEST(Unify, BranchesWithDifferentTrackingUnify) {
@@ -148,21 +149,16 @@ def f(p : pair, c : bool) : int {
   }
 }
 )";
-  CheckerOptions OracleOpts;
-  OracleOpts.UseLivenessOracle = true;
-  auto WithOracle = compile(std::string(Decls) + Body, OracleOpts);
+  auto WithOracle = compileWith(Body, true);
   ASSERT_TRUE(WithOracle.hasValue());
-
-  CheckerOptions NaiveOpts;
-  NaiveOpts.UseLivenessOracle = false;
-  auto Naive = compile(std::string(Decls) + Body, NaiveOpts);
+  auto Naive = compileWith(Body, false);
   ASSERT_TRUE(Naive.hasValue());
 
-  Symbol F = WithOracle->Prog->Names.intern("f");
+  Symbol F = (*WithOracle)->P.Prog->Names.intern("f");
   size_t OracleTried =
-      WithOracle->Checked.Functions.at(F).Stats.UnifyCandidates;
+      (*WithOracle)->P.Checked.Functions.at(F).Stats.UnifyCandidates;
   size_t NaiveTried =
-      Naive->Checked.Functions.at(Naive->Prog->Names.intern("f"))
+      (*Naive)->P.Checked.Functions.at((*Naive)->P.Prog->Names.intern("f"))
           .Stats.UnifyCandidates;
   EXPECT_GE(NaiveTried, OracleTried);
 }
@@ -183,8 +179,8 @@ def g(x : node, c : int) : int {
 )";
   auto R = compileWith(Body, true);
   ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
-  Symbol G = R->Prog->Names.intern("g");
-  EXPECT_GE(R->Checked.Functions.at(G).Stats.LoopIterations, 2u);
+  Symbol G = (*R)->P.Prog->Names.intern("g");
+  EXPECT_GE((*R)->P.Checked.Functions.at(G).Stats.LoopIterations, 2u);
 }
 
 TEST(Unify, LoopBodyTrackingKeptByOracle) {
@@ -233,8 +229,8 @@ def f(x : node, k : int) : int {
   // invariant must widen once and stabilize.
   auto R = compileWith(Body, true);
   ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
-  Symbol F = R->Prog->Names.intern("f");
-  EXPECT_GE(R->Checked.Functions.at(F).Stats.LoopIterations, 1u);
+  Symbol F = (*R)->P.Prog->Names.intern("f");
+  EXPECT_GE((*R)->P.Checked.Functions.at(F).Stats.LoopIterations, 1u);
 }
 
 } // namespace

@@ -10,7 +10,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/CompilePipeline.h"
+#include "parser/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -21,18 +22,29 @@ using namespace fearless;
 
 namespace {
 
-Pipeline mustCompile(std::string_view Source) {
-  Expected<Pipeline> Result = compile(Source);
-  EXPECT_TRUE(Result.hasValue())
-      << (Result.hasValue() ? "" : Result.error().render());
-  return Result ? std::move(*Result) : Pipeline{};
+/// Parse + check only: the stage the verifier re-checks. The tampering
+/// tests below corrupt derivations before the verifier sees them.
+Pipeline mustCheck(std::string_view Source) {
+  Pipeline P;
+  DiagnosticEngine Diags;
+  std::optional<Program> Parsed = parseProgram(Source, Diags);
+  EXPECT_TRUE(Parsed.has_value()) << Diags.renderAll();
+  if (!Parsed)
+    return P;
+  P.Prog = std::make_unique<Program>(std::move(*Parsed));
+  Expected<CheckedProgram> Checked = checkProgram(*P.Prog);
+  EXPECT_TRUE(Checked.hasValue())
+      << (Checked ? "" : Checked.error().render());
+  if (Checked)
+    P.Checked = Checked.take();
+  return P;
 }
 
 TEST(Verifier, AllSuitesVerify) {
   for (const char *Source :
        {programs::SllSuite, programs::DllSuite, programs::RedBlackTree,
         programs::MessagePassing, programs::BitTrie, programs::Extras}) {
-    Pipeline P = mustCompile(Source);
+    Pipeline P = mustCheck(Source);
     Expected<VerifyStats> Stats = verifyProgram(P.Checked);
     ASSERT_TRUE(Stats.hasValue())
         << (Stats ? "" : Stats.error().render());
@@ -53,7 +65,7 @@ std::optional<StepId> findStep(const Derivation &D, RuleId Rule,
 }
 
 TEST(Verifier, CatchesCorruptedFocus) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  Pipeline P = mustCheck(programs::SllSuite);
   Symbol Sum = P.Prog->Names.intern("sum_node");
   CheckedFunction &Fn = P.Checked.Functions.at(Sum);
   Derivation &D = *Fn.Deriv;
@@ -69,7 +81,7 @@ TEST(Verifier, CatchesCorruptedFocus) {
 }
 
 TEST(Verifier, CatchesCorruptedExploreTarget) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  Pipeline P = mustCheck(programs::SllSuite);
   Symbol Sum = P.Prog->Names.intern("sum_node");
   CheckedFunction &Fn = P.Checked.Functions.at(Sum);
   Derivation &D = *Fn.Deriv;
@@ -91,7 +103,7 @@ TEST(Verifier, CatchesCorruptedExploreTarget) {
 }
 
 TEST(Verifier, CatchesIllFormedContext) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  Pipeline P = mustCheck(programs::SllSuite);
   Symbol Length = P.Prog->Names.intern("length_node");
   CheckedFunction &Fn = P.Checked.Functions.at(Length);
   // Corrupt a focus step's After: bind the tracked variable to the wrong
@@ -109,7 +121,7 @@ TEST(Verifier, CatchesIllFormedContext) {
 }
 
 TEST(Verifier, CatchesWrongFinalContext) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  Pipeline P = mustCheck(programs::SllSuite);
   Symbol Length = P.Prog->Names.intern("length");
   CheckedFunction &Fn = P.Checked.Functions.at(Length);
   // Corrupt the root's final context: drop the parameter's region.
@@ -121,7 +133,7 @@ TEST(Verifier, CatchesWrongFinalContext) {
 }
 
 TEST(Verifier, DerivationPrintingMentionsRules) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  Pipeline P = mustCheck(programs::SllSuite);
   Symbol Sum = P.Prog->Names.intern("sum_node");
   const CheckedFunction &Fn = P.Checked.Functions.at(Sum);
   std::string Text = printDerivation(*Fn.Deriv, P.Prog->Names);
@@ -157,7 +169,7 @@ std::optional<SnapshotId> sharedSnapshot(const Derivation &D,
 }
 
 TEST(Verifier, StepsShareSnapshots) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  Pipeline P = mustCheck(programs::SllSuite);
   for (const auto &[Name, Fn] : P.Checked.Functions) {
     const Derivation &D = *Fn.Deriv;
     // Every snapshot is referenced by some step, and there are fewer of
@@ -169,7 +181,7 @@ TEST(Verifier, StepsShareSnapshots) {
 }
 
 TEST(Verifier, RejectsCorruptedSharedSnapshot) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  Pipeline P = mustCheck(programs::SllSuite);
   CheckedFunction &Fn =
       P.Checked.Functions.at(P.Prog->Names.intern("sum_node"));
   Derivation &D = *Fn.Deriv;
@@ -190,7 +202,7 @@ TEST(Verifier, RejectsCorruptedSharedSnapshot) {
 }
 
 TEST(Verifier, TamperingCopiesOnWrite) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  Pipeline P = mustCheck(programs::SllSuite);
   CheckedFunction &Fn =
       P.Checked.Functions.at(P.Prog->Names.intern("sum_node"));
   Derivation &D = *Fn.Deriv;
@@ -231,8 +243,7 @@ std::string readSourceFile(const std::string &Rel) {
 }
 
 TEST(Verifier, WidenedWhileKeepsOnlyTheStableIteration) {
-  Pipeline P =
-      mustCompile(readSourceFile("tests/fixtures/widened_while.fls"));
+  Pipeline P = mustCheck(readSourceFile("tests/fixtures/widened_while.fls"));
   const CheckedFunction &Fn =
       P.Checked.Functions.at(P.Prog->Names.intern("widen"));
   ASSERT_GE(Fn.Stats.LoopIterations, 2u); // one unstable, one stable
@@ -256,7 +267,7 @@ TEST(Verifier, WidenedWhileKeepsOnlyTheStableIteration) {
 }
 
 TEST(Verifier, StatsCountVirtualSteps) {
-  Pipeline P = mustCompile(programs::DllSuite);
+  Pipeline P = mustCheck(programs::DllSuite);
   Expected<VerifyStats> Stats = verifyProgram(P.Checked);
   ASSERT_TRUE(Stats.hasValue());
   EXPECT_GT(Stats->VirtualStepsChecked, 10u);

@@ -59,7 +59,7 @@ namespace {
 /// Lowers a checked program to bytecode, failing the test on error. The
 /// cross-check flag keeps every elided `if disconnected` honest against
 /// the real traversal.
-vm::CompiledProgram mustCompileVm(Pipeline &P, bool EmitChecks,
+vm::CompiledProgram mustCompileVm(const Pipeline &P, bool EmitChecks,
                                   const DisconnectVerdictTable *V =
                                       nullptr) {
   vm::CompileOptions VO;
@@ -80,9 +80,9 @@ struct Outcome {
   RuntimeMetrics Metrics;
 };
 
-using Setup = std::function<void(Pipeline &, Machine &)>;
+using Setup = std::function<void(const Pipeline &, Machine &)>;
 
-Outcome runMachine(Pipeline &P, const vm::CompiledProgram *Code,
+Outcome runMachine(const Pipeline &P, const vm::CompiledProgram *Code,
                    const Setup &S, uint64_t Seed = 0) {
   MachineOptions MO;
   MO.VmCode = Code;
@@ -122,13 +122,12 @@ void expectSameOutcome(const Outcome &Interp, const Outcome &Vm,
 
 /// Runs interp, VM-checked, and VM-erased over the same spawn set and
 /// requires all three to agree.
-void differential(Pipeline &P, const Setup &S, const std::string &What,
-                  uint64_t Seed = 0) {
-  AnalysisReport Report = analyzeProgram(P.Checked);
-  DisconnectVerdictTable Verdicts = Report.verdictTable();
+void differential(const CompiledArtifact &A, const Setup &S,
+                  const std::string &What, uint64_t Seed = 0) {
+  const Pipeline &P = A.P;
   vm::CompiledProgram Checked = mustCompileVm(P, /*EmitChecks=*/true);
   vm::CompiledProgram Erased =
-      mustCompileVm(P, /*EmitChecks=*/false, &Verdicts);
+      mustCompileVm(P, /*EmitChecks=*/false, &A.Verdicts);
 
   Outcome Interp = runMachine(P, nullptr, S, Seed);
   Outcome VmChecked = runMachine(P, &Checked, S, Seed);
@@ -156,16 +155,17 @@ TEST(VmDifferential, ExamplesMatchInterpreter) {
     std::string Source((std::istreambuf_iterator<char>(In)),
                        std::istreambuf_iterator<char>());
     ASSERT_FALSE(Source.empty()) << Entry.path();
-    Expected<Pipeline> P = compile(Source);
-    if (!P)
+    auto A = buildArtifact(Source);
+    if (!A)
       continue; // deliberately-rejected lint demo (region_lints.fls)
     // Every example must at least lower in both modes.
-    (void)mustCompileVm(*P, true);
-    (void)mustCompileVm(*P, false);
-    if (!P->Prog->findFunction(P->Prog->Names.intern("main")))
+    (void)mustCompileVm((*A)->P, true);
+    (void)mustCompileVm((*A)->P, false);
+    const Program &Prog = *(*A)->P.Prog;
+    if (!Prog.findFunction(Prog.Names.lookup("main")))
       continue; // lint-only example: nothing to run
-    differential(*P,
-                 [](Pipeline &PL, Machine &M) {
+    differential(**A,
+                 [](const Pipeline &PL, Machine &M) {
                    M.spawn(sym(PL, "main"));
                  },
                  Entry.path().filename().string());
@@ -189,7 +189,8 @@ TEST(VmDifferential, SampleSuiteIntFunctionsSweep) {
   };
   size_t Swept = 0;
   for (const auto &[SuiteName, Source] : Suites) {
-    Pipeline P = mustCompile(Source);
+    auto Built = mustBuild(Source);
+    const Pipeline &P = Built->P;
     for (const FnDecl &Fn : P.Prog->Functions) {
       bool AllInt = true;
       for (const ParamDecl &Param : Fn.Params)
@@ -199,8 +200,8 @@ TEST(VmDifferential, SampleSuiteIntFunctionsSweep) {
       if (!AllInt)
         continue;
       std::vector<Value> Args(Fn.Params.size(), Value::intVal(3));
-      differential(P,
-                   [&](Pipeline &PL, Machine &M) {
+      differential(*Built,
+                   [&](const Pipeline &PL, Machine &M) {
                      M.spawn(Fn.Name, Args);
                      (void)PL;
                    },
@@ -217,10 +218,11 @@ TEST(VmDifferential, SampleSuiteIntFunctionsSweep) {
 //===----------------------------------------------------------------------===//
 
 TEST(VmDifferential, HostBuiltSllFunctions) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   for (const char *Fn : {"length", "sum"}) {
-    differential(P,
-                 [&](Pipeline &PL, Machine &M) {
+    differential(*Built,
+                 [&](const Pipeline &PL, Machine &M) {
                    ThreadId T = M.createThread();
                    Loc List = buildSll(PL, M, T, {5, 6, 7});
                    M.startThread(T, sym(PL, Fn),
@@ -229,7 +231,7 @@ TEST(VmDifferential, HostBuiltSllFunctions) {
                  std::string("sll::") + Fn);
   }
   // Ground truth, not just engine agreement.
-  Outcome Sum = runMachine(P, nullptr, [](Pipeline &PL, Machine &M) {
+  Outcome Sum = runMachine(P, nullptr, [](const Pipeline &PL, Machine &M) {
     ThreadId T = M.createThread();
     Loc List = buildSll(PL, M, T, {5, 6, 7});
     M.startThread(T, sym(PL, "sum"), {Value::locVal(List)});
@@ -239,11 +241,12 @@ TEST(VmDifferential, HostBuiltSllFunctions) {
 }
 
 TEST(VmDifferential, HostBuiltDllRemoveTail) {
-  Pipeline P = mustCompile(programs::DllSuite);
+  auto Built = mustBuild(programs::DllSuite);
+  const Pipeline &P = Built->P;
   for (std::vector<int64_t> Values :
        {std::vector<int64_t>{1}, {1, 2}, {1, 2, 3, 4}}) {
-    differential(P,
-                 [&](Pipeline &PL, Machine &M) {
+    differential(*Built,
+                 [&](const Pipeline &PL, Machine &M) {
                    ThreadId T = M.createThread();
                    Loc List = buildDll(PL, M, T, Values);
                    M.startThread(T, sym(PL, "remove_tail"),
@@ -254,10 +257,11 @@ TEST(VmDifferential, HostBuiltDllRemoveTail) {
 }
 
 TEST(VmDifferential, PairedSendRecvOnTheMachine) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   for (uint64_t Seed : {uint64_t(0), uint64_t(42)})
-    differential(P,
-                 [](Pipeline &PL, Machine &M) {
+    differential(*Built,
+                 [](const Pipeline &PL, Machine &M) {
                    M.spawn(sym(PL, "producer"), {Value::intVal(5)});
                    M.spawn(sym(PL, "consumer"), {Value::intVal(5)});
                  },
@@ -265,14 +269,15 @@ TEST(VmDifferential, PairedSendRecvOnTheMachine) {
 }
 
 TEST(VmDifferential, RuntimeErrorsMatchWordForWord) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 def boom(n : int) : int { 10 / n }
 )");
-  Outcome Interp = runMachine(P, nullptr, [](Pipeline &PL, Machine &M) {
+  const Pipeline &P = Built->P;
+  Outcome Interp = runMachine(P, nullptr, [](const Pipeline &PL, Machine &M) {
     M.spawn(sym(PL, "boom"), {Value::intVal(0)});
   });
   vm::CompiledProgram Code = mustCompileVm(P, false);
-  Outcome Vm = runMachine(P, &Code, [](Pipeline &PL, Machine &M) {
+  Outcome Vm = runMachine(P, &Code, [](const Pipeline &PL, Machine &M) {
     M.spawn(sym(PL, "boom"), {Value::intVal(0)});
   });
   ASSERT_FALSE(Interp.Ok);
@@ -286,7 +291,7 @@ def boom(n : int) : int { 10 / n }
 //===----------------------------------------------------------------------===//
 
 TEST(VmErasure, MustVerdictsFoldToConstantBranches) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 struct gnode { next : gnode; }
 def main() : int {
   let a = new gnode();
@@ -296,14 +301,14 @@ def main() : int {
   if disconnected(a, b) { 1 } else { 0 }
 }
 )");
-  AnalysisReport R = analyzeProgram(P.Checked);
-  DisconnectVerdictTable T = R.verdictTable();
+  const Pipeline &P = Built->P;
+  const DisconnectVerdictTable &T = Built->Verdicts;
   vm::CompiledProgram Erased = mustCompileVm(P, false, &T);
   ASSERT_EQ(Erased.Sites.size(), 1u);
   EXPECT_EQ(Erased.Sites[0].Taken, vm::SiteDecision::Action::FoldedThen);
   EXPECT_GT(Erased.ChecksErased, 0u);
 
-  Outcome O = runMachine(P, &Erased, [](Pipeline &PL, Machine &M) {
+  Outcome O = runMachine(P, &Erased, [](const Pipeline &PL, Machine &M) {
     M.spawn(sym(PL, "main"));
   });
   ASSERT_TRUE(O.Ok) << O.Error; // cross-check traversal agreed
@@ -315,7 +320,7 @@ def main() : int {
   vm::CompiledProgram Dynamic = mustCompileVm(P, false);
   ASSERT_EQ(Dynamic.Sites.size(), 1u);
   EXPECT_EQ(Dynamic.Sites[0].Taken, vm::SiteDecision::Action::Dynamic);
-  Outcome D = runMachine(P, &Dynamic, [](Pipeline &PL, Machine &M) {
+  Outcome D = runMachine(P, &Dynamic, [](const Pipeline &PL, Machine &M) {
     M.spawn(sym(PL, "main"));
   });
   ASSERT_TRUE(D.Ok) << D.Error;
@@ -325,7 +330,7 @@ def main() : int {
 }
 
 TEST(VmErasure, DisassemblyNamesTheDecisions) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 struct gnode { next : gnode; }
 def main() : int {
   let a = new gnode();
@@ -335,8 +340,8 @@ def main() : int {
   if disconnected(a, b) { 1 } else { 0 }
 }
 )");
-  AnalysisReport R = analyzeProgram(P.Checked);
-  DisconnectVerdictTable T = R.verdictTable();
+  const Pipeline &P = Built->P;
+  const DisconnectVerdictTable &T = Built->Verdicts;
 
   vm::CompiledProgram Checked = mustCompileVm(P, true, &T);
   std::string Asm = disassemble(Checked, P.Checked);
@@ -358,12 +363,13 @@ def main() : int {
 //===----------------------------------------------------------------------===//
 
 TEST(VmIc, FieldCachesHitAfterFirstResolution) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  auto Built = mustBuild(programs::SllSuite);
+  const Pipeline &P = Built->P;
   vm::CompiledProgram Code = mustCompileVm(P, false);
   std::vector<int64_t> Values;
   for (int64_t I = 0; I < 32; ++I)
     Values.push_back(I);
-  Outcome O = runMachine(P, &Code, [&](Pipeline &PL, Machine &M) {
+  Outcome O = runMachine(P, &Code, [&](const Pipeline &PL, Machine &M) {
     ThreadId T = M.createThread();
     Loc List = buildSll(PL, M, T, Values);
     M.startThread(T, sym(PL, "sum"), {Value::locVal(List)});
@@ -379,9 +385,10 @@ TEST(VmIc, FieldCachesHitAfterFirstResolution) {
 //===----------------------------------------------------------------------===//
 
 TEST(VmScheduler, SeedSweepMatchesMachineInterpBaseline) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   vm::CompiledProgram Code = mustCompileVm(P, false);
-  auto Spawn = [](Pipeline &PL, auto &Exec) {
+  auto Spawn = [](const Pipeline &PL, auto &Exec) {
     for (int I = 0; I < 4; ++I)
       Exec.spawn(sym(PL, "producer"), {Value::intVal(3)});
     Exec.spawn(sym(PL, "consumer"), {Value::intVal(12)});
@@ -412,7 +419,7 @@ TEST(VmScheduler, SeedSweepMatchesMachineInterpBaseline) {
 //===----------------------------------------------------------------------===//
 
 TEST(VmFaults, InjectedHeapFaultMatchesInterpreter) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 struct gnode { next : gnode; }
 def main() : int {
   let a = new gnode();
@@ -422,6 +429,7 @@ def main() : int {
   4
 }
 )");
+  const Pipeline &P = Built->P;
   auto RunWithFaults = [&](const vm::CompiledProgram *Code) {
     FaultPlan Plan = *parseFaultSpec("heap.alloc=nth:3,seed=7");
     FaultInjector FI(Plan);
@@ -440,7 +448,8 @@ def main() : int {
 }
 
 TEST(VmFaults, SupervisedRecoveryMatchesFaultFreeRun) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  auto Built = mustBuild(programs::MessagePassing);
+  const Pipeline &P = Built->P;
   vm::CompiledProgram Code = mustCompileVm(P, false);
   FaultPlan Plan = *parseFaultSpec("thread.start=nth:1,seed=3");
   FaultInjector FI(Plan);
@@ -470,13 +479,14 @@ TEST(VmFaults, SupervisedRecoveryMatchesFaultFreeRun) {
 //===----------------------------------------------------------------------===//
 
 TEST(VmAlloc, SteadyStateDispatchLoopIsAllocationFree) {
-  Pipeline P = mustCompile(R"(
+  auto Built = mustBuild(R"(
 def spin(n : int) : int {
   let i = 0;
   while (i < n) { i = i + 1 };
   i
 }
 )");
+  const Pipeline &P = Built->P;
   vm::CompiledProgram Code = mustCompileVm(P, false);
   auto AllocsFor = [&](int64_t N) {
     MachineOptions MO;

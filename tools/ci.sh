@@ -71,11 +71,11 @@ run_analyze() {
 # catches exporter rot end to end through the CLI.
 run_trace_smoke() {
   local name="$1" dir="$2"
+  local fc="$dir/tools/fearlessc" ex="$ROOT/examples/dll_remove.fls"
   echo "==> [$name] trace smoke (fearlessc run --trace)"
   local out="$dir/ci_trace_smoke.json"
-  "$dir/tools/fearlessc" run "$ROOT/examples/dll_remove.fls" main \
-    --metrics --trace "$out" >/dev/null
-  python3 - "$out" <<'PYEOF'
+  "$fc" run "$ex" main --metrics --trace "$out" >/dev/null
+  python3 - "$out" "$name" <<'PYEOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
@@ -87,6 +87,27 @@ for e in events:
     if e["ph"] == "X":
         assert "dur" in e, e
 print(f"    valid Chrome trace, {len(events)} events")
+PYEOF
+  # Every command that builds an artifact honours --trace: the compiler
+  # lane's stage spans land in the file (an empty trace when tracing is
+  # compiled out).
+  local cmd
+  for cmd in check analyze sig derive dot disasm; do
+    local -a argv=("$cmd" "$ex")
+    [[ "$cmd" == derive || "$cmd" == dot ]] && argv+=(main)
+    "$fc" "${argv[@]}" --trace "$dir/ci_trace_$cmd.json" >/dev/null 2>&1
+  done
+  python3 - "$name" \
+    "$dir"/ci_trace_{check,analyze,sig,derive,dot,disasm}.json <<'PYEOF'
+import json, sys
+for path in sys.argv[2:]:
+    with open(path) as f:
+        events = json.load(f)["traceEvents"]
+    spans = {e["name"] for e in events if e["ph"] == "X"}
+    want = set() if sys.argv[1] == "notrace" else \
+        {"pipeline.parse", "pipeline.check", "pipeline.verify"}
+    assert bool(events) == bool(want) and want <= spans, (path, spans)
+print("    check/analyze/sig/derive/dot/disasm --trace: compiler spans")
 PYEOF
 }
 
@@ -128,6 +149,12 @@ EOF
   expect_exit 5 "runtime fault" \
     "$fc" run "$ROOT/examples/dll_remove.fls" main \
     --faults 'heap.alloc=nth:3,seed=7'
+  # --metrics reports what a run executed; commands that execute nothing
+  # reject it instead of ignoring it.
+  expect_exit 2 "usage (--metrics on check)" \
+    "$fc" check "$ROOT/examples/dll_remove.fls" --metrics
+  expect_exit 2 "usage (--metrics on analyze)" \
+    "$fc" analyze "$ROOT/examples/dll_remove.fls" --metrics
 }
 
 # VM engine smoke: the bytecode VM is the default `run` engine; its
@@ -163,12 +190,14 @@ run_vm_smoke() {
   echo "    disasm: chunks and folded sites present"
 }
 
-# Server smoke: start fearlessd, drive check/run/metrics/shutdown
+# Server smoke: start fearlessd, drive check/run/analyze/metrics/shutdown
 # through `fearlessc --daemon`, and hold the protocol to its contract
 # end to end (docs/SERVER.md): daemon stdout/stderr/exit bit-identical
-# to standalone on every example program (both the cold and the warm,
-# cache-hit path), cache_hits advancing on a repeated request, and a
-# draining shutdown that removes the socket. The socket-level abuse
+# to standalone on every example program plus a rejected and an
+# unparsable one (both the cold and the warm, cache-hit path),
+# cache_hits advancing on a repeated request, analyze leaving the cache
+# alone, and a draining shutdown that removes the socket. The
+# socket-level abuse
 # cases (malformed frames, overload) live in tests/server_test.cpp.
 run_server_smoke() {
   local name="$1" dir="$2"
@@ -186,14 +215,21 @@ run_server_smoke() {
     exit 1
   fi
 
+  # Beside the examples: a program the checker rejects and one that does
+  # not parse, so the failure paths (and analyze's lint fallback) are
+  # held to the same equivalence.
+  printf 'struct data { value : int;\n' >"$dir/ci_srv_parse_err.fls"
   local f base cmd s_exit d_exit s_out d_out
-  for f in "$ROOT"/examples/*.fls; do
+  for f in "$ROOT"/examples/*.fls \
+           "$ROOT/tests/fixtures/use_after_consumes.fls" \
+           "$dir/ci_srv_parse_err.fls"; do
     base="$(basename "$f")"
     # Each command twice through the daemon: the first populates the
     # derivation cache, the second must hit it — and both must be
     # byte-identical to the standalone run (exit code included).
-    for cmd in "check" "run"; do
-      local -a argv=("$cmd" "$f")
+    for cmd in "check" "run" "analyze" "analyze --json"; do
+      # shellcheck disable=SC2206
+      local -a argv=($cmd "$f")
       [[ "$cmd" == run ]] && argv+=(main)
       s_exit=0
       s_out="$("$fc" "${argv[@]}" 2>"$dir/ci_srv_s.err")" || s_exit=$?
@@ -215,15 +251,23 @@ run_server_smoke() {
   done
 
   "$fc" --daemon "$sock" metrics >"$dir/ci_srv_metrics.json"
-  python3 - "$dir/ci_srv_metrics.json" <<'PYEOF'
+  # analyze builds fresh, outside the cache: it adds no hit and no miss.
+  "$fc" --daemon "$sock" analyze "$ROOT/examples/dll_remove.fls" >/dev/null
+  "$fc" --daemon "$sock" metrics >"$dir/ci_srv_metrics2.json"
+  python3 - "$dir/ci_srv_metrics.json" "$dir/ci_srv_metrics2.json" <<'PYEOF'
 import json, sys
 with open(sys.argv[1]) as f:
     m = json.load(f)
+with open(sys.argv[2]) as f:
+    m2 = json.load(f)
 assert m["cache_misses"] >= 1, m
 assert m["cache_hits"] >= 1, f"warm requests never hit the cache: {m}"
 assert m["requests_rejected"] == 0, m
+assert m2["cache_hits"] == m["cache_hits"], (m, m2)
+assert m2["cache_misses"] == m["cache_misses"], (m, m2)
 print(f"    metrics: cache_hits={m['cache_hits']} "
-      f"cache_misses={m['cache_misses']} (warm path exercised)")
+      f"cache_misses={m['cache_misses']} (warm path exercised; "
+      f"analyze left the cache alone)")
 PYEOF
 
   "$fc" --daemon "$sock" shutdown >/dev/null

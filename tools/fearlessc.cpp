@@ -47,7 +47,8 @@
 // the interpreter), --no-checks (erase dynamic reservation checks),
 // --no-elide (keep the dynamic traversal even for statically proven
 // disconnect sites),
-// --stats, --metrics (runtime metrics as one JSON line on stdout),
+// --stats, --metrics (run and mc: runtime metrics as one JSON line on
+// stdout; other commands reject it),
 // --trace FILE (Chrome trace_event JSON for Perfetto/chrome://tracing;
 // composes with --metrics), --faults SPEC (deterministic fault
 // injection, e.g. "chan.send=nth:3,seed=7"; the FEARLESS_FAULTS env var
@@ -68,7 +69,6 @@
 
 #include "analysis/StaticDisconnect.h"
 #include "driver/CompilePipeline.h"
-#include "driver/Driver.h"
 #include "mc/Dpor.h"
 #include "runtime/Invariants.h"
 #include "server/Client.h"
@@ -92,12 +92,8 @@ namespace {
 // Exit codes (documented in docs/OBSERVABILITY.md, "Exit codes").
 constexpr int ExitError = 1;        // generic / infrastructure
 constexpr int ExitUsage = 2;        // bad invocation (incl. bad --faults)
-constexpr int ExitParse = 3;        // syntax error
 constexpr int ExitRuntimeFault = 5; // runtime trap or injected fault
 constexpr int ExitCounterexample = 7; // mc found a property violation
-
-/// Maps a pipeline diagnostic to the CLI exit code for its stage.
-int exitCodeFor(const Diagnostic &D) { return exitCodeForStage(D.Stage); }
 
 int usage() {
   std::fprintf(
@@ -221,53 +217,68 @@ struct Options {
   std::string McOut;
 };
 
-/// Parses a --spawn spec: "fn" or "fn:1,2,3" (int args only, matching
-/// the positional-argument rule for the entry function).
-bool parseSpawnSpec(const std::string &Spec,
-                    std::pair<std::string, std::vector<int64_t>> &Out) {
-  size_t Colon = Spec.find(':');
-  Out.first = Spec.substr(0, Colon == std::string::npos ? Spec.size()
-                                                        : Colon);
-  Out.second.clear();
-  if (Out.first.empty())
-    return false;
-  if (Colon == std::string::npos)
-    return true;
-  std::string Rest = Spec.substr(Colon + 1);
-  size_t Pos = 0;
-  while (Pos <= Rest.size()) {
-    size_t Comma = Rest.find(',', Pos);
-    std::string Tok = Rest.substr(
-        Pos, Comma == std::string::npos ? Rest.size() - Pos : Comma - Pos);
-    if (Tok.empty())
+using SpawnList = std::vector<std::pair<std::string, std::vector<int64_t>>>;
+
+/// Parses every --spawn spec: "fn" or "fn:1,2,3" (int args only, matching
+/// the positional-argument rule for the entry function). False, after
+/// printing why, on a malformed spec.
+bool parseSpawns(const Options &Opts, SpawnList &Out) {
+  for (const std::string &Spec : Opts.SpawnSpecs) {
+    auto Bad = [&] {
+      std::fprintf(stderr,
+                   "fearlessc: bad --spawn spec '%s' (expected FN or "
+                   "FN:int,int,...)\n",
+                   Spec.c_str());
       return false;
-    char *End = nullptr;
-    long long V = std::strtoll(Tok.c_str(), &End, 10);
-    if (*End != '\0')
-      return false;
-    Out.second.push_back(V);
-    if (Comma == std::string::npos)
-      break;
-    Pos = Comma + 1;
+    };
+    size_t Colon = Spec.find(':');
+    auto &[Fn, Args] = Out.emplace_back();
+    Fn = Spec.substr(0, Colon == std::string::npos ? Spec.size() : Colon);
+    if (Fn.empty())
+      return Bad();
+    if (Colon == std::string::npos)
+      continue;
+    std::string Rest = Spec.substr(Colon + 1);
+    size_t Pos = 0;
+    while (Pos <= Rest.size()) {
+      size_t Comma = Rest.find(',', Pos);
+      std::string Tok = Rest.substr(
+          Pos, Comma == std::string::npos ? Rest.size() - Pos : Comma - Pos);
+      if (Tok.empty())
+        return Bad();
+      char *End = nullptr;
+      long long V = std::strtoll(Tok.c_str(), &End, 10);
+      if (*End != '\0')
+        return Bad();
+      Args.push_back(V);
+      if (Comma == std::string::npos)
+        break;
+      Pos = Comma + 1;
+    }
   }
   return true;
 }
 
 /// Resolves the effective fault plan: --faults wins, then the
-/// FEARLESS_FAULTS env var, then none. A malformed spec is a usage
-/// error, diagnosed by the caller via the error channel.
-Expected<std::optional<FaultPlan>> resolveFaultPlan(const Options &Opts) {
+/// FEARLESS_FAULTS env var (the hook for harnesses that cannot edit the
+/// command line), then none. False, after printing why, on a malformed
+/// spec — an invocation error, reported before any work.
+bool resolveFaultPlan(const Options &Opts, std::optional<FaultPlan> &Out) {
   std::string FaultSpec = Opts.FaultSpec;
   if (!Opts.FaultSpecSet) {
     if (const char *Env = std::getenv("FEARLESS_FAULTS"))
       FaultSpec = Env;
   }
   if (FaultSpec.empty())
-    return std::optional<FaultPlan>();
+    return true;
   Expected<FaultPlan> Plan = parseFaultSpec(FaultSpec);
-  if (!Plan)
-    return Plan.takeFailure();
-  return std::optional<FaultPlan>(*Plan);
+  if (!Plan) {
+    std::fprintf(stderr, "fearlessc: bad fault spec: %s\n",
+                 Plan.error().Message.c_str());
+    return false;
+  }
+  Out = *Plan;
+  return true;
 }
 
 /// The artifact-level option subset (the derivation-cache key side).
@@ -285,62 +296,95 @@ PipelineOptions pipelineOptions(const Options &Opts) {
   return PO;
 }
 
-Expected<Pipeline> compileFile(const char *Path, const Options &Opts) {
-  Expected<std::string> Source = readFile(Path);
-  if (!Source)
-    return Source.takeFailure();
-  CheckerOptions CO;
-  CO.UseLivenessOracle = Opts.UseOracle;
-  return compile(*Source, CO);
-}
+/// The --trace sink every local command shares. open() probes the path
+/// before any work, so an unwritable path is a clean up-front error, not
+/// a lost trace after minutes of execution; write() exports whatever was
+/// recorded, also for a failed command — a trace of the failure is
+/// exactly what the flag is for.
+struct TraceSink {
+  const std::string &Path;
+  TraceSession Session;
 
-int cmdCheck(const char *Path, const Options &Opts) {
+  /// False, after printing why, when the path cannot be written.
+  bool open() {
+    if (Path.empty())
+      return true;
+    if (!std::ofstream(Path, std::ios::app)) {
+      std::fprintf(stderr,
+                   "fearlessc: cannot open trace output '%s' for writing\n",
+                   Path.c_str());
+      return false;
+    }
+#if !FEARLESS_TRACING_ENABLED
+    std::fprintf(stderr,
+                 "fearlessc: warning: tracing is compiled out "
+                 "(FEARLESS_TRACE=OFF); '%s' will hold an empty trace\n",
+                 Path.c_str());
+#endif
+    return true;
+  }
+
+  /// False, after printing why, when the trace could not be written.
+  bool write() {
+    std::string Error;
+    if (Path.empty() || Session.writeChromeJson(Path, Error))
+      return true;
+    std::fprintf(stderr, "fearlessc: %s\n", Error.c_str());
+    return false;
+  }
+};
+
+/// Reads \p Path and builds its artifact; on failure prints the
+/// diagnostic and returns null with the exit code in \p Exit.
+std::shared_ptr<const CompiledArtifact>
+buildFile(const char *Path, const PipelineOptions &PO, TraceSession *Trace,
+          int &Exit) {
   Expected<std::string> Source = readFile(Path);
   if (!Source) {
     std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-    return exitCodeFor(Source.error());
+    Exit = exitCodeForStage(Source.error().Stage);
+    return nullptr;
   }
   Expected<std::shared_ptr<const CompiledArtifact>> A =
-      buildArtifact(*Source, pipelineOptions(Opts));
+      buildArtifact(*Source, PO, Trace);
   if (!A) {
     std::fprintf(stderr, "%s\n", A.error().render().c_str());
-    return exitCodeFor(A.error());
+    Exit = exitCodeForStage(A.error().Stage);
+    return nullptr;
   }
-  std::fputs(renderCheckOutput(**A, Path, Opts.Stats).c_str(), stdout);
+  return *A;
+}
+
+int cmdCheck(const char *Path, const Options &Opts, TraceSession *Trace) {
+  int Exit = 0;
+  auto A = buildFile(Path, pipelineOptions(Opts), Trace, Exit);
+  if (!A)
+    return Exit;
+  std::fputs(renderCheckOutput(*A, Path, Opts.Stats).c_str(), stdout);
   return 0;
 }
 
 int analyzeOne(std::string_view Source, const char *Name,
-               const Options &Opts) {
+               const Options &Opts, TraceSession *Trace) {
   SourceAnalysisOptions AO;
   AO.Interprocedural = Opts.Interprocedural;
   AO.DumpSummaries = Opts.DumpSummaries;
   AO.Json = Opts.Json;
-  SourceAnalysis A = analyzeSourceText(Source, Name, AO);
-  std::fputs(A.Rendered.c_str(), stdout);
-  if (A.HardError)
-    return ExitParse;
-  if (Opts.Werror && A.LintDiags > 0) {
-    // Lints are check-stage findings, so --werror exits with the
-    // check-stage code — scripts can distinguish "region misuse" from
-    // infrastructure failures without parsing messages.
-    Diagnostic D;
-    D.Stage = DiagnosticStage::Check;
-    std::fprintf(stderr,
-                 "fearlessc: error: %zu lint diagnostic(s) with --werror\n",
-                 A.LintDiags);
-    return exitCodeFor(D);
-  }
-  return 0;
+  RunOutcome O = renderAnalyzeOutput(
+      buildArtifact(Source, pipelineOptions(Opts), Trace), Source, Name, AO,
+      Opts.Werror);
+  std::fputs(O.Out.c_str(), stdout);
+  std::fputs(O.Err.c_str(), stderr);
+  return O.Exit;
 }
 
-int cmdAnalyze(const char *Path, const Options &Opts) {
+int cmdAnalyze(const char *Path, const Options &Opts, TraceSession *Trace) {
   Expected<std::string> Source = readFile(Path);
   if (!Source) {
     std::fprintf(stderr, "%s\n", Source.error().render().c_str());
     return 1;
   }
-  return analyzeOne(*Source, Path, Opts);
+  return analyzeOne(*Source, Path, Opts, Trace);
 }
 
 /// The embedded sample programs, keyed by CLI name. Function-local
@@ -360,42 +404,26 @@ embeddedSamples() {
   return Samples;
 }
 
-int cmdAnalyzeSamples(const Options &Opts) {
+int cmdAnalyzeSamples(const Options &Opts, TraceSession *Trace) {
   int Rc = 0;
   for (const auto &[Name, Source] : embeddedSamples())
-    Rc |= analyzeOne(Source, Name, Opts);
+    Rc |= analyzeOne(Source, Name, Opts, Trace);
   return Rc;
 }
 
 int cmdRun(const char *Path, const char *Fn,
-           const std::vector<int64_t> &Args, const Options &Opts) {
-  // Fault injection: --faults wins; the FEARLESS_FAULTS env var is the
-  // hook for harnesses that cannot edit the command line. A malformed
-  // spec is an invocation error (exit 2), reported before any work.
-  Expected<std::optional<FaultPlan>> Plan = resolveFaultPlan(Opts);
-  if (!Plan) {
-    std::fprintf(stderr, "fearlessc: bad fault spec: %s\n",
-                 Plan.error().Message.c_str());
+           const std::vector<int64_t> &Args, const Options &Opts,
+           TraceSession *Trace) {
+  // --faults / --spawn / --schedule: resolved up front so a malformed
+  // spec or an unreadable/corrupt schedule file is a clean error before
+  // any work.
+  std::optional<FaultPlan> Plan;
+  SpawnList Spawns;
+  if (!resolveFaultPlan(Opts, Plan) || !parseSpawns(Opts, Spawns))
     return ExitUsage;
-  }
   std::unique_ptr<FaultInjector> Faults;
-  if (*Plan)
-    Faults = std::make_unique<FaultInjector>(**Plan);
-
-  // --spawn / --schedule: resolved up front so a malformed spec or an
-  // unreadable/corrupt schedule file is a clean error before any work.
-  std::vector<std::pair<std::string, std::vector<int64_t>>> Spawns;
-  for (const std::string &Spec : Opts.SpawnSpecs) {
-    std::pair<std::string, std::vector<int64_t>> S;
-    if (!parseSpawnSpec(Spec, S)) {
-      std::fprintf(stderr,
-                   "fearlessc: bad --spawn spec '%s' (expected FN or "
-                   "FN:int,int,...)\n",
-                   Spec.c_str());
-      return ExitUsage;
-    }
-    Spawns.push_back(std::move(S));
-  }
+  if (Plan)
+    Faults = std::make_unique<FaultInjector>(*Plan);
   std::optional<mc::Schedule> Sched;
   if (!Opts.SchedulePath.empty()) {
     Expected<mc::Schedule> S = mc::Schedule::loadFile(Opts.SchedulePath);
@@ -406,39 +434,10 @@ int cmdRun(const char *Path, const char *Fn,
     Sched.emplace(S.take());
   }
 
-  Expected<std::string> Source = readFile(Path);
-  if (!Source) {
-    std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-    return exitCodeFor(Source.error());
-  }
-
-  // Tracing: probe the sink *before* the run so an unwritable path is a
-  // clean up-front error, not a lost trace after minutes of execution.
-  TraceSession Trace;
-  bool UseTrace = !Opts.TracePath.empty();
-  if (UseTrace) {
-    std::ofstream Probe(Opts.TracePath, std::ios::app);
-    if (!Probe) {
-      std::fprintf(stderr,
-                   "fearlessc: cannot open trace output '%s' for "
-                   "writing\n",
-                   Opts.TracePath.c_str());
-      return 1;
-    }
-#if !FEARLESS_TRACING_ENABLED
-    std::fprintf(stderr,
-                 "fearlessc: warning: tracing is compiled out "
-                 "(FEARLESS_TRACE=OFF); '%s' will hold an empty trace\n",
-                 Opts.TracePath.c_str());
-#endif
-  }
-
-  Expected<std::shared_ptr<const CompiledArtifact>> A = buildArtifact(
-      *Source, pipelineOptions(Opts), UseTrace ? &Trace : nullptr);
-  if (!A) {
-    std::fprintf(stderr, "%s\n", A.error().render().c_str());
-    return exitCodeFor(A.error());
-  }
+  int Exit = 0;
+  auto A = buildFile(Path, pipelineOptions(Opts), Trace, Exit);
+  if (!A)
+    return Exit;
 
   RunSpec Spec;
   Spec.Fn = Fn;
@@ -450,51 +449,22 @@ int cmdRun(const char *Path, const char *Fn,
   Spec.Stats = Opts.Stats;
   Spec.Metrics = Opts.Metrics;
   Spec.Faults = Faults.get();
-  Spec.Trace = UseTrace ? &Trace : nullptr;
+  Spec.Trace = Trace;
   Spec.Spawns = std::move(Spawns);
   Spec.Schedule = Sched ? &*Sched : nullptr;
-  RunOutcome O = runArtifact(**A, Spec);
-
-  // Write whatever was traced even when the run fails — a trace of the
-  // failing run is exactly what the flag is for.
-  if (UseTrace) {
-    std::string TraceError;
-    if (!Trace.writeChromeJson(Opts.TracePath, TraceError)) {
-      std::fprintf(stderr, "fearlessc: %s\n", TraceError.c_str());
-      return ExitError;
-    }
-  }
+  RunOutcome O = runArtifact(*A, Spec);
   std::fputs(O.Out.c_str(), stdout);
   std::fputs(O.Err.c_str(), stderr);
   return O.Exit;
 }
 
 int cmdMc(const char *Path, const char *Fn,
-          const std::vector<int64_t> &Args, const Options &Opts) {
-  Expected<std::optional<FaultPlan>> Plan = resolveFaultPlan(Opts);
-  if (!Plan) {
-    std::fprintf(stderr, "fearlessc: bad fault spec: %s\n",
-                 Plan.error().Message.c_str());
+          const std::vector<int64_t> &Args, const Options &Opts,
+          TraceSession *Trace) {
+  std::optional<FaultPlan> Plan;
+  SpawnList Spawns;
+  if (!resolveFaultPlan(Opts, Plan) || !parseSpawns(Opts, Spawns))
     return ExitUsage;
-  }
-  std::vector<std::pair<std::string, std::vector<int64_t>>> Spawns;
-  for (const std::string &Spec : Opts.SpawnSpecs) {
-    std::pair<std::string, std::vector<int64_t>> S;
-    if (!parseSpawnSpec(Spec, S)) {
-      std::fprintf(stderr,
-                   "fearlessc: bad --spawn spec '%s' (expected FN or "
-                   "FN:int,int,...)\n",
-                   Spec.c_str());
-      return ExitUsage;
-    }
-    Spawns.push_back(std::move(S));
-  }
-
-  Expected<std::string> Source = readFile(Path);
-  if (!Source) {
-    std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-    return exitCodeFor(Source.error());
-  }
 
   // --mc-checks=off composes with the user's --no-checks: exploration
   // runs with dynamic reservation checks erased, while the §6 invariant
@@ -503,52 +473,27 @@ int cmdMc(const char *Path, const char *Fn,
   bool EffChecks = Opts.Checks && Opts.McChecksOn;
   Options ArtifactOpts = Opts;
   ArtifactOpts.Checks = EffChecks;
-  Expected<std::shared_ptr<const CompiledArtifact>> A =
-      buildArtifact(*Source, pipelineOptions(ArtifactOpts));
-  if (!A) {
-    std::fprintf(stderr, "%s\n", A.error().render().c_str());
-    return exitCodeFor(A.error());
-  }
-  const CompiledArtifact &Art = **A;
+  int Exit = 0;
+  auto A = buildFile(Path, pipelineOptions(ArtifactOpts), Trace, Exit);
+  if (!A)
+    return Exit;
+  const CompiledArtifact &Art = *A;
   const Pipeline &P = Art.P;
 
   // Resolve the entry and every --spawn up front (same int-argument
   // rule as `run`).
-  auto Resolve =
-      [&](const std::string &FnName, const std::vector<int64_t> &IntArgs,
-          std::pair<Symbol, std::vector<Value>> &Out) -> bool {
-    Out.first = P.Prog->Names.intern(FnName);
-    const FnDecl *Decl = P.Prog->findFunction(Out.first);
-    if (!Decl) {
-      std::fprintf(stderr, "no function '%s'\n", FnName.c_str());
-      return false;
-    }
-    if (Decl->Params.size() != IntArgs.size()) {
-      std::fprintf(stderr,
-                   "'%s' takes %zu arguments, got %zu (only int "
-                   "arguments are supported from the CLI)\n",
-                   FnName.c_str(), Decl->Params.size(), IntArgs.size());
-      return false;
-    }
-    Out.second.clear();
-    for (size_t I = 0; I < IntArgs.size(); ++I) {
-      if (!(Decl->Params[I].ParamType == Type::intTy())) {
-        std::fprintf(stderr, "parameter %zu of '%s' is not int\n", I,
-                     FnName.c_str());
-        return false;
-      }
-      Out.second.push_back(Value::intVal(IntArgs[I]));
-    }
-    return true;
-  };
   std::vector<std::pair<Symbol, std::vector<Value>>> Roots;
   Roots.emplace_back();
-  if (!Resolve(Fn, Args, Roots.back()))
-    return ExitError;
-  for (const auto &[SpawnFn, SpawnArgs] : Spawns) {
+  std::optional<std::string> Err =
+      resolveCall(Art, Fn, Args, Roots.back().first, Roots.back().second);
+  for (size_t I = 0; !Err && I < Spawns.size(); ++I) {
     Roots.emplace_back();
-    if (!Resolve(SpawnFn, SpawnArgs, Roots.back()))
-      return ExitError;
+    Err = resolveCall(Art, Spawns[I].first, Spawns[I].second,
+                      Roots.back().first, Roots.back().second);
+  }
+  if (Err) {
+    std::fputs(Err->c_str(), stderr);
+    return ExitError;
   }
 
   // The exploration runs on one machine and (when faults are armed) a
@@ -556,8 +501,8 @@ int cmdMc(const char *Path, const char *Fn,
   // save and restore with the heap.
   std::unique_ptr<FaultInjector> InjSlot;
   mc::MachineFactory Factory = [&]() {
-    if (*Plan)
-      InjSlot = std::make_unique<FaultInjector>(**Plan);
+    if (Plan)
+      InjSlot = std::make_unique<FaultInjector>(*Plan);
     MachineOptions MO;
     MO.CheckReservations = EffChecks;
     MO.StaticVerdicts = &Art.Verdicts;
@@ -588,17 +533,15 @@ int cmdMc(const char *Path, const char *Fn,
   MO.UseDpor = Opts.McDpor;
   // An injected fault may legally kill one interleaving and not another,
   // so result divergence is only a violation in fault-free exploration.
-  MO.CheckDivergence = !*Plan;
+  MO.CheckDivergence = !Plan;
 
   // Tracing: one mc.run span covering the whole exploration (the
   // exploring machine runs untraced — thousands of restored executions
   // would pile into the same ring buffers).
-  TraceSession Trace;
-  bool UseTrace = !Opts.TracePath.empty();
   TraceBuffer *TB = nullptr;
   uint64_t TraceStart = 0;
-  if (UseTrace) {
-    TB = &Trace.registerThread(4244, "mc");
+  if (Trace) {
+    TB = &Trace->registerThread(4244, "mc");
     TraceStart = TB->now();
   }
   auto ExploreStart = std::chrono::steady_clock::now();
@@ -607,12 +550,8 @@ int cmdMc(const char *Path, const char *Fn,
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - ExploreStart)
           .count());
-  if (TB) {
+  if (TB)
     TB->record("mc.run", "mc", 'X', TraceStart, TB->now() - TraceStart);
-    std::string TraceError;
-    if (!Trace.writeChromeJson(Opts.TracePath, TraceError))
-      std::fprintf(stderr, "fearlessc: %s\n", TraceError.c_str());
-  }
   if (!Rep) {
     std::fprintf(stderr, "fearlessc: %s\n", Rep.error().Message.c_str());
     return ExitError;
@@ -696,71 +635,48 @@ int cmdMc(const char *Path, const char *Fn,
   return 0;
 }
 
-int cmdDisasm(const char *Path, const Options &Opts) {
-  Expected<std::string> Source = readFile(Path);
-  if (!Source) {
-    std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-    return exitCodeFor(Source.error());
-  }
+int cmdDisasm(const char *Path, const Options &Opts, TraceSession *Trace) {
   PipelineOptions PO = pipelineOptions(Opts);
   // Disassembly always shows the bytecode with the checks --no-checks
   // controls, independent of --workers.
   PO.Engine = "vm";
   PO.EmitChecks = Opts.Checks;
-  Expected<std::shared_ptr<const CompiledArtifact>> A =
-      buildArtifact(*Source, PO);
-  if (!A) {
-    std::fprintf(stderr, "%s\n", A.error().render().c_str());
-    return exitCodeFor(A.error());
-  }
-  std::fputs(vm::disassemble(*(*A)->VmCode, (*A)->P.Checked).c_str(),
-             stdout);
+  int Exit = 0;
+  auto A = buildFile(Path, PO, Trace, Exit);
+  if (!A)
+    return Exit;
+  std::fputs(vm::disassemble(*A->VmCode, A->P.Checked).c_str(), stdout);
   return 0;
 }
 
-int cmdSig(const char *Path, const Options &Opts) {
-  Expected<Pipeline> P = compileFile(Path, Opts);
-  if (!P) {
-    std::fprintf(stderr, "%s\n", P.error().render().c_str());
-    return exitCodeFor(P.error());
-  }
-  for (const auto &[Name, Sig] : P->Checked.Signatures)
-    std::printf("%s : %s\n", P->Prog->Names.spelling(Name).c_str(),
-                toString(Sig, P->Prog->Names).c_str());
+int cmdSig(const char *Path, const Options &Opts, TraceSession *Trace) {
+  int Exit = 0;
+  auto A = buildFile(Path, pipelineOptions(Opts), Trace, Exit);
+  if (!A)
+    return Exit;
+  const Interner &Names = A->P.Prog->Names;
+  for (const auto &[Name, Sig] : A->P.Checked.Signatures)
+    std::printf("%s : %s\n", Names.spelling(Name).c_str(),
+                toString(Sig, Names).c_str());
   return 0;
 }
 
-int cmdDerive(const char *Path, const char *Fn, const Options &Opts) {
-  Expected<Pipeline> P = compileFile(Path, Opts);
-  if (!P) {
-    std::fprintf(stderr, "%s\n", P.error().render().c_str());
-    return exitCodeFor(P.error());
-  }
-  Symbol Name = P->Prog->Names.intern(Fn);
-  auto It = P->Checked.Functions.find(Name);
-  if (It == P->Checked.Functions.end() || !It->second.Deriv) {
+/// derive and dot: print \p Fn's typing derivation with \p Print.
+int printDerivationOf(const char *Path, const char *Fn, const Options &Opts,
+                      TraceSession *Trace,
+                      std::string (*Print)(const Derivation &,
+                                           const Interner &)) {
+  int Exit = 0;
+  auto A = buildFile(Path, pipelineOptions(Opts), Trace, Exit);
+  if (!A)
+    return Exit;
+  const Interner &Names = A->P.Prog->Names;
+  auto It = A->P.Checked.Functions.find(Names.lookup(Fn));
+  if (It == A->P.Checked.Functions.end() || !It->second.Deriv) {
     std::fprintf(stderr, "no derivation for '%s'\n", Fn);
     return 1;
   }
-  std::printf("%s",
-              printDerivation(*It->second.Deriv, P->Prog->Names).c_str());
-  return 0;
-}
-
-int cmdDot(const char *Path, const char *Fn, const Options &Opts) {
-  Expected<Pipeline> P = compileFile(Path, Opts);
-  if (!P) {
-    std::fprintf(stderr, "%s\n", P.error().render().c_str());
-    return exitCodeFor(P.error());
-  }
-  Symbol Name = P->Prog->Names.intern(Fn);
-  auto It = P->Checked.Functions.find(Name);
-  if (It == P->Checked.Functions.end() || !It->second.Deriv) {
-    std::fprintf(stderr, "no derivation for '%s'\n", Fn);
-    return 1;
-  }
-  std::printf("%s",
-              printDerivationDot(*It->second.Deriv, P->Prog->Names).c_str());
+  std::printf("%s", Print(*It->second.Deriv, Names).c_str());
   return 0;
 }
 
@@ -860,18 +776,26 @@ int cmdDaemon(const std::vector<const char *> &Positional,
     R.Op = server::WireOp::Shutdown;
     return roundTrip(R);
   }
-  if (!std::strcmp(Cmd, "check") && Positional.size() == 2) {
+  // check, analyze FILE and run send the file's text, like standalone.
+  auto fileRequest = [&](server::WireOp Op) {
     Expected<std::string> Source = readFile(Positional[1]);
     if (!Source) {
       std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-      return exitCodeFor(Source.error());
+      return ExitError;
     }
     server::WireRequest R = baseRequest(Opts);
-    R.Op = server::WireOp::Check;
+    R.Op = Op;
     R.Name = Positional[1];
     R.Source = Source.take();
+    if (Op == server::WireOp::Run) {
+      R.Fn = Positional[2];
+      for (size_t I = 3; I < Positional.size(); ++I)
+        R.Args.push_back(std::strtoll(Positional[I], nullptr, 10));
+    }
     return roundTrip(R);
-  }
+  };
+  if (!std::strcmp(Cmd, "check") && Positional.size() == 2)
+    return fileRequest(server::WireOp::Check);
   if (!std::strcmp(Cmd, "analyze") && Positional.size() == 2) {
     if (!std::strcmp(Positional[1], "--samples")) {
       // Mirrors cmdAnalyzeSamples: one request per embedded sample on
@@ -886,32 +810,49 @@ int cmdDaemon(const std::vector<const char *> &Positional,
       }
       return Rc;
     }
-    Expected<std::string> Source = readFile(Positional[1]);
-    if (!Source) {
-      std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-      return 1;
-    }
-    server::WireRequest R = baseRequest(Opts);
-    R.Op = server::WireOp::Analyze;
-    R.Name = Positional[1];
-    R.Source = Source.take();
-    return roundTrip(R);
+    return fileRequest(server::WireOp::Analyze);
   }
-  if (!std::strcmp(Cmd, "run") && Positional.size() >= 3) {
-    Expected<std::string> Source = readFile(Positional[1]);
-    if (!Source) {
-      std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-      return exitCodeFor(Source.error());
-    }
-    server::WireRequest R = baseRequest(Opts);
-    R.Op = server::WireOp::Run;
-    R.Name = Positional[1];
-    R.Source = Source.take();
-    R.Fn = Positional[2];
+  if (!std::strcmp(Cmd, "run") && Positional.size() >= 3)
+    return fileRequest(server::WireOp::Run);
+  return usage();
+}
+
+/// Dispatches a standalone command; \p Trace, when set, receives the
+/// compiler lane of every build and the execution engines' events.
+int runCommand(const std::vector<const char *> &Positional,
+               const Options &Opts, TraceSession *Trace) {
+  const char *Cmd = Positional[0];
+  auto IntArgs = [&] {
+    std::vector<int64_t> Args;
     for (size_t I = 3; I < Positional.size(); ++I)
-      R.Args.push_back(std::strtoll(Positional[I], nullptr, 10));
-    return roundTrip(R);
+      Args.push_back(std::strtoll(Positional[I], nullptr, 10));
+    return Args;
+  };
+  if (!std::strcmp(Cmd, "check") && Positional.size() == 2)
+    return cmdCheck(Positional[1], Opts, Trace);
+  if (!std::strcmp(Cmd, "analyze") && Positional.size() == 2) {
+    if (!std::strcmp(Positional[1], "--samples"))
+      return cmdAnalyzeSamples(Opts, Trace);
+    return cmdAnalyze(Positional[1], Opts, Trace);
   }
+  if (!std::strcmp(Cmd, "run") && Positional.size() >= 3)
+    return cmdRun(Positional[1], Positional[2], IntArgs(), Opts, Trace);
+  if (!std::strcmp(Cmd, "mc") && Positional.size() >= 2)
+    return cmdMc(Positional[1],
+                 Positional.size() >= 3 ? Positional[2] : "main", IntArgs(),
+                 Opts, Trace);
+  if (!std::strcmp(Cmd, "disasm") && Positional.size() == 2)
+    return cmdDisasm(Positional[1], Opts, Trace);
+  if (!std::strcmp(Cmd, "sig") && Positional.size() == 2)
+    return cmdSig(Positional[1], Opts, Trace);
+  if (!std::strcmp(Cmd, "derive") && Positional.size() == 3)
+    return printDerivationOf(Positional[1], Positional[2], Opts, Trace,
+                             printDerivation);
+  if (!std::strcmp(Cmd, "dot") && Positional.size() == 3)
+    return printDerivationOf(Positional[1], Positional[2], Opts, Trace,
+                             printDerivationDot);
+  if (!std::strcmp(Cmd, "sample") && Positional.size() == 2)
+    return cmdSample(Positional[1]);
   return usage();
 }
 
@@ -1023,40 +964,22 @@ int main(int argc, char **argv) {
   if (Positional.empty())
     return usage();
 
+  const char *Cmd = Positional[0];
+  if (Opts.Metrics && std::strcmp(Cmd, "run") && std::strcmp(Cmd, "mc")) {
+    std::fprintf(stderr,
+                 "fearlessc: --metrics reports what a run executed; "
+                 "'%s' executes nothing (use it with run or mc)\n",
+                 Cmd);
+    return ExitUsage;
+  }
   if (!Opts.DaemonSocket.empty())
     return cmdDaemon(Positional, Opts);
 
-  const char *Cmd = Positional[0];
-  if (!std::strcmp(Cmd, "check") && Positional.size() == 2)
-    return cmdCheck(Positional[1], Opts);
-  if (!std::strcmp(Cmd, "analyze") && Positional.size() == 2) {
-    if (!std::strcmp(Positional[1], "--samples"))
-      return cmdAnalyzeSamples(Opts);
-    return cmdAnalyze(Positional[1], Opts);
-  }
-  if (!std::strcmp(Cmd, "run") && Positional.size() >= 3) {
-    std::vector<int64_t> Args;
-    for (size_t I = 3; I < Positional.size(); ++I)
-      Args.push_back(std::strtoll(Positional[I], nullptr, 10));
-    return cmdRun(Positional[1], Positional[2], Args, Opts);
-  }
-  if (!std::strcmp(Cmd, "mc") && Positional.size() >= 2) {
-    std::vector<int64_t> Args;
-    for (size_t I = 3; I < Positional.size(); ++I)
-      Args.push_back(std::strtoll(Positional[I], nullptr, 10));
-    return cmdMc(Positional[1],
-                 Positional.size() >= 3 ? Positional[2] : "main", Args,
-                 Opts);
-  }
-  if (!std::strcmp(Cmd, "disasm") && Positional.size() == 2)
-    return cmdDisasm(Positional[1], Opts);
-  if (!std::strcmp(Cmd, "sig") && Positional.size() == 2)
-    return cmdSig(Positional[1], Opts);
-  if (!std::strcmp(Cmd, "derive") && Positional.size() == 3)
-    return cmdDerive(Positional[1], Positional[2], Opts);
-  if (!std::strcmp(Cmd, "dot") && Positional.size() == 3)
-    return cmdDot(Positional[1], Positional[2], Opts);
-  if (!std::strcmp(Cmd, "sample") && Positional.size() == 2)
-    return cmdSample(Positional[1]);
-  return usage();
+  TraceSink Sink{Opts.TracePath, {}};
+  if (!Sink.open())
+    return ExitError;
+  int Rc = runCommand(Positional, Opts,
+                      Opts.TracePath.empty() ? nullptr : &Sink.Session);
+  return Sink.write() ? Rc : ExitError;
 }
+
