@@ -171,24 +171,42 @@ analyzeBuild(const Expected<std::shared_ptr<const CompiledArtifact>> &Built,
                         Opts);
 }
 
-RunOutcome fearless::renderAnalyzeOutput(
-    const Expected<std::shared_ptr<const CompiledArtifact>> &Built,
-    std::string_view Source, std::string_view FileName,
-    const SourceAnalysisOptions &Opts, bool Werror) {
-  SourceAnalysis A = analyzeBuild(Built, Source, FileName, Opts);
+RunOutcome fearless::serveRequest(RequestOp Op, const Request &R,
+                                  const ArtifactGetter &Get) {
+  // Every op builds the same artifact: analyze's rendering options
+  // never change what is built.
+  PipelineOptions PO = R.Pipeline;
+  PO.EmitChecks = PO.Checks && !R.Workers;
+  Expected<std::shared_ptr<const CompiledArtifact>> Built =
+      Get(R.Source, PO);
   RunOutcome O;
-  O.Out = std::move(A.Rendered);
-  if (A.HardError) {
-    O.Exit = exitCodeForStage(DiagnosticStage::Parse);
-  } else if (Werror && A.LintDiags > 0) {
-    // Lints are check-stage findings, so --werror exits with the
-    // check-stage code — scripts can distinguish "region misuse" from
-    // infrastructure failures without parsing messages.
-    O.Err = "fearlessc: error: " + std::to_string(A.LintDiags) +
-            " lint diagnostic(s) with --werror\n";
-    O.Exit = exitCodeForStage(DiagnosticStage::Check);
+  if (Op == RequestOp::Analyze) {
+    SourceAnalysisOptions AO = R.Analysis;
+    AO.Interprocedural = PO.Interprocedural;
+    SourceAnalysis A = analyzeBuild(Built, R.Source, R.Name, AO);
+    O.Out = std::move(A.Rendered);
+    if (A.HardError) {
+      O.Exit = exitCodeForStage(DiagnosticStage::Parse);
+    } else if (R.Werror && A.LintDiags > 0) {
+      // Lints are check-stage findings, so --werror exits with the
+      // check-stage code — scripts can distinguish "region misuse" from
+      // infrastructure failures without parsing messages.
+      O.Err = "fearlessc: error: " + std::to_string(A.LintDiags) +
+              " lint diagnostic(s) with --werror\n";
+      O.Exit = exitCodeForStage(DiagnosticStage::Check);
+    }
+    return O;
   }
-  return O;
+  if (!Built) {
+    O.Err = Built.error().render() + "\n";
+    O.Exit = exitCodeForStage(Built.error().Stage);
+    return O;
+  }
+  if (Op == RequestOp::Check) {
+    O.Out = renderCheckOutput(**Built, R.Name, R.Stats);
+    return O;
+  }
+  return runArtifact(**Built, R);
 }
 
 SourceAnalysis fearless::analyzeSourceText(std::string_view Source,
@@ -254,7 +272,7 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
     O.Exit = 1;
     return O;
   }
-  if (Spec.WorkersSet && (!Spec.Spawns.empty() || Spec.Schedule)) {
+  if (Spec.Workers && (!Spec.Spawns.empty() || Spec.Schedule)) {
     O.Err = "--spawn and --schedule drive the deterministic machine and "
             "cannot combine with --workers\n";
     O.Exit = 2;
@@ -275,9 +293,9 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
   // --workers: hand the entry function to the parallel executor (the
   // M:N task scheduler; dynamic checks erased, as for any checked
   // program) instead of the deterministic abstract machine.
-  if (Spec.WorkersSet) {
+  if (Spec.Workers) {
     ParallelExecOptions PO;
-    PO.NumWorkers = Spec.Workers;
+    PO.NumWorkers = *Spec.Workers;
     PO.SchedSeed = Spec.SchedSeed;
     PO.Faults = Spec.Faults;
     if (UseVm)

@@ -8,11 +8,13 @@
 /// The reusable front half of `fearlessc` — parse + check + verify +
 /// static analysis + bytecode lowering bundled into one immutable
 /// CompiledArtifact — and the back half: executing an artifact and
-/// rendering exactly the text the CLI prints. Factoring both out of
-/// tools/fearlessc.cpp lets the `fearlessd` daemon (server/Server.h)
-/// serve the same pipeline over a socket with **bit-identical** output:
-/// client-mode runs and standalone runs compare equal byte for byte
-/// because they are the same code path, not a re-implementation.
+/// rendering exactly the text the CLI prints. serveRequest joins the two
+/// into the one request handler behind `check`, `analyze` and `run`:
+/// standalone fearlessc and the `fearlessd` daemon (server/Server.h)
+/// both call it with the same Request value and differ only in how the
+/// artifact is obtained, so client-mode runs and standalone runs compare
+/// equal byte for byte because they are the same code path, not a
+/// re-implementation.
 ///
 /// A CompiledArtifact is a pure function of (source text, options): it
 /// holds no execution state, every run constructs its own Machine or
@@ -33,6 +35,7 @@
 #include "vm/Compiler.h"
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -61,8 +64,8 @@ struct PipelineOptions {
   /// Elide statically proven `if disconnected` traversals (--no-elide
   /// turns off).
   bool Elide = true;
-  /// Emit reservation-check ops into the bytecode. The CLI computes this
-  /// as `Checks && !WorkersSet` (the parallel executors always run
+  /// Emit reservation-check ops into the bytecode. serveRequest derives
+  /// it as `Checks && !Workers` (the parallel executors always run
   /// erased — the checker proved the checks redundant).
   bool EmitChecks = true;
   /// Execution engine: "vm" (register bytecode, default) or "interp"
@@ -127,17 +130,19 @@ struct RunSpec {
   std::vector<int64_t> Args;
   /// Machine schedule seed (--seed).
   uint64_t Seed = 0;
-  /// --workers: run on ParallelExec's M:N task scheduler.
-  size_t Workers = 0;
-  bool WorkersSet = false;
+  /// --workers N: run on ParallelExec's M:N task scheduler with an
+  /// N-worker pool (0 = auto); unset = the deterministic machine.
+  std::optional<size_t> Workers;
   uint64_t SchedSeed = 0;
-  /// Append the --stats / --metrics lines to Out.
+  /// Append the --stats / --metrics lines to Out (check: the --stats
+  /// block of renderCheckOutput).
   bool Stats = false;
   bool Metrics = false;
   /// Deterministic fault injection; null = disabled. Must outlive the
   /// call.
   FaultInjector *Faults = nullptr;
   /// Structured tracing for the execution engines; null = disabled.
+  /// Must outlive the call.
   TraceSession *Trace = nullptr;
   /// Extra threads spawned alongside the entry (--spawn FN[:a,b,...],
   /// repeatable, in order). Machine mode only: this is how the CLI puts
@@ -182,19 +187,48 @@ std::string renderCheckOutput(const CompiledArtifact &A,
                               std::string_view DisplayName,
                               bool Stats = false);
 
-/// `fearlessc analyze` output for \p Source from its build \p Built: the
-/// artifact's analysis report, or for a failed build the re-parse /
-/// re-resolve fallback (renderRejectedAnalysis). Exit 3 for a parse or
-/// resolution failure; with \p Werror, exit 4 and a note on stderr when
-/// lints fired. Rendering options never change the artifact, so the
-/// daemon serves analyze from the same cache entry as check.
-RunOutcome renderAnalyzeOutput(
-    const Expected<std::shared_ptr<const CompiledArtifact>> &Built,
-    std::string_view Source, std::string_view FileName,
-    const SourceAnalysisOptions &Opts, bool Werror);
+/// The requests serveRequest answers.
+enum class RequestOp : uint8_t { Check, Analyze, Run };
+
+/// One `check`, `analyze` or `run` request: fearlessc parses argv
+/// straight into it, and fearlessd decodes it off the wire
+/// (server::WireRequest extends it with the op and correlation id). The
+/// run fields (Fn, Args, ...) are inherited from RunSpec; its pointer
+/// fields are local hooks that never cross the wire.
+struct Request : RunSpec {
+  /// Display name for diagnostics (the file path).
+  std::string Name;
+  /// The program text.
+  std::string Source;
+  /// Build options (EmitChecks is derived by serveRequest).
+  PipelineOptions Pipeline;
+  /// analyze: rendering options (Interprocedural follows Pipeline's).
+  SourceAnalysisOptions Analysis;
+  /// analyze: lint diagnostics fail with the check-stage exit code.
+  bool Werror = false;
+};
+
+/// How serveRequest obtains the artifact for (source, options): the CLI
+/// builds it with buildArtifact, the daemon looks it up in its
+/// derivation cache.
+using ArtifactGetter =
+    std::function<Expected<std::shared_ptr<const CompiledArtifact>>(
+        std::string_view Source, const PipelineOptions &Opts)>;
+
+/// The one request handler behind `check`, `analyze` and `run`, shared
+/// by fearlessc and fearlessd: derives the build options from \p R,
+/// obtains the artifact through \p Get, and renders exactly what the
+/// CLI prints — the compile diagnostic, renderCheckOutput, the analyze
+/// report, or runArtifact's outcome. analyze renders the artifact's
+/// report, or for a failed build the re-parse / re-resolve fallback
+/// (renderRejectedAnalysis); it exits 3 for a parse or resolution
+/// failure and, with R.Werror, 4 with a note on stderr when lints fired.
+RunOutcome serveRequest(RequestOp Op, const Request &R,
+                        const ArtifactGetter &Get);
 
 /// `fearlessc analyze` of \p Source under default pipeline options
-/// (Opts.Interprocedural aside): buildArtifact, then renderAnalyzeOutput.
+/// (Opts.Interprocedural aside): the report serveRequest renders for
+/// analyze.
 SourceAnalysis analyzeSourceText(std::string_view Source,
                                  std::string_view FileName,
                                  const SourceAnalysisOptions &Opts = {});

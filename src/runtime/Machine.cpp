@@ -525,7 +525,8 @@ Expected<MachineSummary> Machine::run(uint64_t Seed) {
   return Summary;
 }
 
-Expected<MachineSummary> Machine::runTurns(uint64_t Seed) {
+Expected<MachineSummary> Machine::runTurns(uint64_t Seed,
+                                           std::vector<uint32_t> *Choices) {
   if (ExpectedVoid B = beginStepping(); !B)
     return B.takeFailure();
 
@@ -547,8 +548,12 @@ Expected<MachineSummary> Machine::runTurns(uint64_t Seed) {
     if (*P == MachineProgress::Deadlock)
       return fail(deadlockMessage());
     const std::vector<size_t> &Runnable = runnableThreads();
+    // The xorshift advances (and the round-robin counter increments) on
+    // every turn, branching or not.
     size_t Pick = Seed ? Runnable[NextRandom() % Runnable.size()]
                        : Runnable[RoundRobin++ % Runnable.size()];
+    if (Choices && Runnable.size() >= 2)
+      Choices->push_back(static_cast<uint32_t>(Pick));
     if (Expected<McStepRecord> R = stepChosen(Pick); !R)
       return R.takeFailure();
   }

@@ -160,6 +160,12 @@ public:
   /// API below, so run() and externally driven schedules share one code
   /// path.
   Expected<MachineSummary> run(uint64_t Seed = 0);
+  /// run() without the wall-clock timing: the one seeded scheduling
+  /// loop. When \p Choices is set, every pick made among two or more
+  /// runnable threads is appended to it, so the interleaving can be
+  /// replayed as a schedule (mc::runRecording).
+  Expected<MachineSummary> runTurns(uint64_t Seed,
+                                    std::vector<uint32_t> *Choices = nullptr);
 
   //===--------------------------------------------------------------------===
   // Incremental stepping (the model checker / schedule replay drive the
@@ -247,9 +253,6 @@ private:
   bool communicate(std::string &Error);
 
   bool valueMatchesType(const Value &V, const Type &Ty) const;
-
-  /// The body of run(), which times it.
-  Expected<MachineSummary> runTurns(uint64_t Seed);
 
   /// Per-session state of the incremental stepping API.
   struct SteppingState {

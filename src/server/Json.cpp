@@ -48,6 +48,16 @@ std::string Json::getString(std::string_view Key,
   return V && V->isString() ? V->stringValue() : std::string(Default);
 }
 
+std::string Json::takeString(std::string_view Key,
+                             std::string_view Default) {
+  if (K == Kind::Object)
+    for (auto &[Name, Value] : Members)
+      if (Name == Key)
+        return Value.isString() ? std::move(Value.StrV)
+                                : std::string(Default);
+  return std::string(Default);
+}
+
 std::string fearless::server::escapeJson(std::string_view S) {
   std::string Out;
   Out.reserve(S.size());

@@ -94,6 +94,9 @@ public:
   int64_t getInt(std::string_view Key, int64_t Default) const;
   std::string getString(std::string_view Key,
                         std::string_view Default) const;
+  /// getString that moves the member's text out instead of copying it
+  /// (the request decoder takes the program source this way).
+  std::string takeString(std::string_view Key, std::string_view Default);
 
   /// Serializes compactly (no whitespace), escaping per RFC 8259.
   std::string dump() const;

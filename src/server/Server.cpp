@@ -6,7 +6,6 @@
 
 #include "server/Server.h"
 
-#include "analysis/StaticDisconnect.h"
 #include "driver/CompilePipeline.h"
 #include "support/Trace.h"
 
@@ -289,65 +288,21 @@ Json Server::handleRequest(const std::string &Payload, TraceBuffer *TB,
   case WireOp::Analyze:
   case WireOp::Check:
   case WireOp::Run: {
-    // One option mapping for all three ops, so analyze builds the very
-    // artifact check does: its rendering options (--json, --summaries,
-    // --werror) never change what is built.
-    PipelineOptions PO;
-    PO.UseOracle = Req->Oracle;
-    PO.Interprocedural = Req->Interprocedural;
-    PO.Checks = Req->Checks;
-    PO.Elide = Req->Elide;
-    PO.EmitChecks = Req->Checks && Req->Workers < 0;
-    PO.Engine = Req->Engine;
-
-    if (Req->Op == WireOp::Analyze) {
-      // A fresh build, outside the cache for now (docs/SERVER.md, "The
-      // derivation cache").
-      SourceAnalysisOptions AO;
-      AO.Interprocedural = Req->Interprocedural;
-      AO.DumpSummaries = Req->Summaries;
-      AO.Json = Req->Json;
-      RunOutcome O = renderAnalyzeOutput(buildArtifact(Req->Source, PO),
-                                         Req->Source, Req->Name, AO,
-                                         Req->Werror);
-      return makeExecResponse(Req->Id, O.Exit, O.Out, O.Err, false);
-    }
-
+    // The standalone CLI's handler; only the artifact's origin differs.
     bool WasHit = false;
-    Expected<std::shared_ptr<const CompiledArtifact>> Artifact = [&] {
+    ArtifactGetter Get = [&](std::string_view Source,
+                             const PipelineOptions &PO)
+        -> Expected<std::shared_ptr<const CompiledArtifact>> {
+      // analyze builds fresh, outside the cache for now (docs/SERVER.md,
+      // "The derivation cache").
+      if (Req->Op == WireOp::Analyze)
+        return buildArtifact(Source, PO);
       TraceSpan LookupSpan(TB, "cache.lookup", "server");
-      auto R = Cache.getOrBuild(Req->Source, PO, &WasHit);
+      auto R = Cache.getOrBuild(Source, PO, &WasHit);
       LookupSpan.setArg("hit", WasHit ? 1 : 0);
       return R;
-    }();
-
-    if (!Artifact) {
-      // Exactly the bytes the CLI prints for a compile failure, plus
-      // the DiagnosticStage exit code.
-      std::string Err = Artifact.error().render() + "\n";
-      return makeExecResponse(Req->Id,
-                              exitCodeForStage(Artifact.error().Stage),
-                              "", Err, WasHit);
-    }
-
-    if (Req->Op == WireOp::Check) {
-      std::string Out =
-          renderCheckOutput(**Artifact, Req->Name, Req->Stats);
-      return makeExecResponse(Req->Id, 0, Out, "", WasHit);
-    }
-
-    RunSpec Spec;
-    Spec.Fn = Req->Fn;
-    Spec.Args = Req->Args;
-    Spec.Seed = Req->Seed;
-    if (Req->Workers >= 0) {
-      Spec.Workers = static_cast<size_t>(Req->Workers);
-      Spec.WorkersSet = true;
-    }
-    Spec.SchedSeed = Req->SchedSeed;
-    Spec.Stats = Req->Stats;
-    Spec.Metrics = Req->Metrics;
-    RunOutcome O = runArtifact(**Artifact, Spec);
+    };
+    RunOutcome O = serveRequest(requestOp(Req->Op), *Req, Get);
     if (O.HasMetrics) {
       std::lock_guard<std::mutex> L(MetricsM);
       Lifetime.merge(O.Metrics);

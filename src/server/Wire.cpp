@@ -130,7 +130,7 @@ fearless::server::decodeRequest(std::string_view Payload) {
   R.Op = *Op;
   R.Id = Doc->getInt("id", 0);
   R.Name = Doc->getString("name", "<wire>");
-  R.Source = Doc->getString("source", "");
+  R.Source = Doc->takeString("source", "");
   R.Fn = Doc->getString("fn", "main");
   if (const Json *Args = Doc->find("args")) {
     if (!Args->isArray())
@@ -144,22 +144,28 @@ fearless::server::decodeRequest(std::string_view Payload) {
   if (const Json *Opts = Doc->find("options")) {
     if (!Opts->isObject())
       return fail("'options' must be an object");
-    R.Oracle = Opts->getBool("oracle", true);
-    R.Interprocedural = Opts->getBool("interprocedural", true);
-    R.Checks = Opts->getBool("checks", true);
-    R.Elide = Opts->getBool("elide", true);
-    R.Engine = Opts->getString("engine", "vm");
-    if (R.Engine != "vm" && R.Engine != "interp")
-      return fail("unknown engine '" + R.Engine +
+    // Absent keys keep the struct defaults — the CLI's defaults.
+    PipelineOptions &PO = R.Pipeline;
+    PO.UseOracle = Opts->getBool("oracle", PO.UseOracle);
+    PO.Interprocedural =
+        Opts->getBool("interprocedural", PO.Interprocedural);
+    PO.Checks = Opts->getBool("checks", PO.Checks);
+    PO.Elide = Opts->getBool("elide", PO.Elide);
+    PO.Engine = Opts->getString("engine", PO.Engine);
+    if (PO.Engine != "vm" && PO.Engine != "interp")
+      return fail("unknown engine '" + PO.Engine +
                   "' (expected vm or interp)");
     R.Seed = static_cast<uint64_t>(Opts->getInt("seed", 0));
-    R.Stats = Opts->getBool("stats", false);
-    R.Metrics = Opts->getBool("metrics", false);
-    R.Workers = Opts->getInt("workers", -1);
+    R.Stats = Opts->getBool("stats", R.Stats);
+    R.Metrics = Opts->getBool("metrics", R.Metrics);
+    // -1 (or absent) = the deterministic machine.
+    if (int64_t Workers = Opts->getInt("workers", -1); Workers >= 0)
+      R.Workers = static_cast<size_t>(Workers);
     R.SchedSeed = static_cast<uint64_t>(Opts->getInt("sched_seed", 0));
-    R.Json = Opts->getBool("json", false);
-    R.Summaries = Opts->getBool("summaries", false);
-    R.Werror = Opts->getBool("werror", false);
+    R.Analysis.Json = Opts->getBool("json", R.Analysis.Json);
+    R.Analysis.DumpSummaries =
+        Opts->getBool("summaries", R.Analysis.DumpSummaries);
+    R.Werror = Opts->getBool("werror", R.Werror);
   }
   bool NeedsSource = R.Op == WireOp::Check || R.Op == WireOp::Analyze ||
                      R.Op == WireOp::Run;
@@ -186,18 +192,18 @@ std::string fearless::server::encodeRequest(const WireRequest &R) {
     Doc.set("args", std::move(Args));
   }
   Json Opts = Json::object();
-  Opts.set("oracle", R.Oracle);
-  Opts.set("interprocedural", R.Interprocedural);
-  Opts.set("checks", R.Checks);
-  Opts.set("elide", R.Elide);
-  Opts.set("engine", R.Engine);
+  Opts.set("oracle", R.Pipeline.UseOracle);
+  Opts.set("interprocedural", R.Pipeline.Interprocedural);
+  Opts.set("checks", R.Pipeline.Checks);
+  Opts.set("elide", R.Pipeline.Elide);
+  Opts.set("engine", R.Pipeline.Engine);
   Opts.set("seed", static_cast<int64_t>(R.Seed));
   Opts.set("stats", R.Stats);
   Opts.set("metrics", R.Metrics);
-  Opts.set("workers", R.Workers);
+  Opts.set("workers", R.Workers ? static_cast<int64_t>(*R.Workers) : -1);
   Opts.set("sched_seed", static_cast<int64_t>(R.SchedSeed));
-  Opts.set("json", R.Json);
-  Opts.set("summaries", R.Summaries);
+  Opts.set("json", R.Analysis.Json);
+  Opts.set("summaries", R.Analysis.DumpSummaries);
   Opts.set("werror", R.Werror);
   Doc.set("options", std::move(Opts));
   return Doc.dump();

@@ -25,6 +25,7 @@
 #ifndef FEARLESS_SERVER_WIRE_H
 #define FEARLESS_SERVER_WIRE_H
 
+#include "driver/CompilePipeline.h"
 #include "server/Json.h"
 
 #include <cstdint>
@@ -53,6 +54,13 @@ extern const char *const OpNames[NumWireOps];
 
 /// Parses an op name; nullopt for unknown ops.
 std::optional<WireOp> parseOp(std::string_view Name);
+
+/// The serveRequest op of a check, analyze or run wire op.
+inline RequestOp requestOp(WireOp Op) {
+  return Op == WireOp::Analyze ? RequestOp::Analyze
+         : Op == WireOp::Run   ? RequestOp::Run
+                               : RequestOp::Check;
+}
 
 /// Typed error codes of error responses. `usage`/`parse`/`check`/
 /// `runtime`/`internal` map 1:1 onto the CLI's DiagnosticStage exit-code
@@ -103,35 +111,16 @@ private:
   std::string Buf;
 };
 
-/// One decoded request.
-struct WireRequest {
+/// One decoded request: the op, the client's correlation id, and for
+/// check/analyze/run the very Request the standalone CLI serves — Name,
+/// Source, the run fields, and the option structs ride the wire
+/// unchanged. RunSpec's local hooks (faults, trace, spawns, schedule)
+/// are never encoded.
+struct WireRequest : Request {
   WireOp Op = WireOp::Check;
   /// Client correlation id, echoed verbatim in the response. 0 when
   /// absent.
   int64_t Id = 0;
-  /// Display name for diagnostics (the client's file path).
-  std::string Name;
-  /// The program text (check/analyze/run).
-  std::string Source;
-  /// run: entry function and integer arguments.
-  std::string Fn = "main";
-  std::vector<int64_t> Args;
-  /// Pipeline options (cache-key relevant).
-  bool Oracle = true;
-  bool Interprocedural = true;
-  bool Checks = true;
-  bool Elide = true;
-  std::string Engine = "vm";
-  /// Per-run options (not cache-key relevant).
-  uint64_t Seed = 0;
-  bool Stats = false;
-  bool Metrics = false;
-  int64_t Workers = -1; ///< -1 = machine mode; >= 0 = ParallelExec.
-  uint64_t SchedSeed = 0;
-  /// analyze: rendering options.
-  bool Json = false;
-  bool Summaries = false;
-  bool Werror = false;
 };
 
 /// Decodes a request payload. Failure means the frame was readable JSON

@@ -24,36 +24,8 @@ void MachineStats::merge(const MachineStats &O) {
   IcMisses += O.IcMisses;
 }
 
-void RuntimeMetrics::mergeThread(const MachineStats &S) {
-  Steps += S.Steps;
-  Sends += S.Sends;
-  Recvs += S.Recvs;
-  Allocations += S.Allocations;
-  ReservationChecks += S.ReservationChecks;
-  DisconnectChecks += S.DisconnectChecks;
-  DisconnectTaken += S.DisconnectTaken;
-  DisconnectElided += S.DisconnectElided;
-  DisconnectObjectsVisited += S.DisconnectObjectsVisited;
-  DisconnectEdgesTraversed += S.DisconnectEdgesTraversed;
-  VmInstructions += S.VmInstructions;
-  IcHits += S.IcHits;
-  IcMisses += S.IcMisses;
-}
-
 void RuntimeMetrics::merge(const RuntimeMetrics &O) {
-  Steps += O.Steps;
-  Sends += O.Sends;
-  Recvs += O.Recvs;
-  Allocations += O.Allocations;
-  ReservationChecks += O.ReservationChecks;
-  DisconnectChecks += O.DisconnectChecks;
-  DisconnectTaken += O.DisconnectTaken;
-  DisconnectElided += O.DisconnectElided;
-  DisconnectObjectsVisited += O.DisconnectObjectsVisited;
-  DisconnectEdgesTraversed += O.DisconnectEdgesTraversed;
-  VmInstructions += O.VmInstructions;
-  IcHits += O.IcHits;
-  IcMisses += O.IcMisses;
+  MachineStats::merge(O);
   ChecksErased += O.ChecksErased;
   AnalysisMustDisconnected += O.AnalysisMustDisconnected;
   AnalysisMustConnected += O.AnalysisMustConnected;

@@ -51,28 +51,10 @@ struct MachineStats {
 };
 
 /// Aggregated counters for one runtime execution (one Machine::run or
-/// ParallelExec::run). Interpreter counters are merged from the
-/// per-thread MachineStats at join; executor and channel counters are
-/// filled in by the owning machine.
-struct RuntimeMetrics {
-  // Interpreter counters (sum over threads).
-  uint64_t Steps = 0;
-  uint64_t Sends = 0;
-  uint64_t Recvs = 0;
-  uint64_t Allocations = 0;
-  uint64_t ReservationChecks = 0;
-  uint64_t DisconnectChecks = 0;
-  uint64_t DisconnectTaken = 0;
-  uint64_t DisconnectElided = 0;
-  uint64_t DisconnectObjectsVisited = 0;
-  uint64_t DisconnectEdgesTraversed = 0;
-
-  // VM engine counters (zero under the tree-walking interpreter).
-  /// Bytecode instructions retired across all threads.
-  uint64_t VmInstructions = 0;
-  /// Field-access inline-cache hits and misses.
-  uint64_t IcHits = 0;
-  uint64_t IcMisses = 0;
+/// ParallelExec::run). The interpreter and VM counters are the inherited
+/// MachineStats block, summed over the per-thread stats at join; the
+/// executor and channel counters are filled in by the owning machine.
+struct RuntimeMetrics : MachineStats {
   /// Dynamic checks the erased-mode codegen omitted (compile-time count;
   /// zero in checked mode and under the interpreter).
   uint64_t ChecksErased = 0;
@@ -153,7 +135,7 @@ struct RuntimeMetrics {
   uint64_t RequestsRejected = 0;
 
   /// Accumulates one thread's interpreter counters (called at join).
-  void mergeThread(const MachineStats &S);
+  void mergeThread(const MachineStats &S) { MachineStats::merge(S); }
 
   /// Accumulates a whole run's metrics — every counter summed. The
   /// daemon folds each served run into its lifetime aggregate with this

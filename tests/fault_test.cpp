@@ -393,81 +393,6 @@ TEST(MachineFaults, TracedRunMatchesUntracedUnderFaults) {
 // Supervised recovery (ParallelExec)
 //===----------------------------------------------------------------------===//
 
-TEST(Supervision, EffectFreeFaultIsRestartedAndRunRecovers) {
-  // thread.start faults are always effect-free; with a restart budget
-  // the run must recover and produce the fault-free result.
-  auto Built = mustBuild(programs::MessagePassing);
-  const Pipeline &P = Built->P;
-  FaultPlan Plan = *parseFaultSpec("thread.start=nth:1,seed=3");
-  FaultInjector FI(Plan);
-  ParallelExecOptions O;
-  O.Faults = &FI;
-  O.MaxRestarts = 3;
-  O.RestartBackoffMillis = 1;
-  O.RestartBackoffCapMillis = 4;
-  O.RestartSeed = 3;
-  O.WatchdogMillis = 10'000;
-  ParallelExec Exec(P.Checked, O);
-  Exec.spawn(sym(P, "producer"), {Value::intVal(10)});
-  Exec.spawn(sym(P, "consumer"), {Value::intVal(10)});
-  Expected<std::vector<Value>> R = Exec.run();
-  ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
-  EXPECT_EQ((*R)[1], Value::intVal(45)); // result-identical recovery
-  const RuntimeMetrics &M = Exec.metrics();
-  EXPECT_EQ(M.FaultsInjected, 1u);
-  EXPECT_EQ(M.ThreadsRestarted, 1u);
-  EXPECT_GE(M.RestartBackoffMillis, 1u);
-  EXPECT_EQ(M.FaultsEscalated, 0u);
-  EXPECT_EQ(M.ThreadsErrored, 0u);
-}
-
-TEST(Supervision, ExhaustedBudgetEscalatesToAbort) {
-  // every:1 on thread.start kills every attempt: the budget runs dry and
-  // the fault escalates to the quiescence abort.
-  auto Built = mustBuild(programs::MessagePassing);
-  const Pipeline &P = Built->P;
-  FaultPlan Plan = *parseFaultSpec("thread.start=every:1");
-  FaultInjector FI(Plan);
-  ParallelExecOptions O;
-  O.Faults = &FI;
-  O.MaxRestarts = 2;
-  O.RestartBackoffMillis = 1;
-  O.RestartBackoffCapMillis = 2;
-  O.WatchdogMillis = 10'000;
-  ParallelExec Exec(P.Checked, O);
-  Exec.spawn(sym(P, "producer"), {Value::intVal(5)});
-  Exec.spawn(sym(P, "consumer"), {Value::intVal(5)});
-  Expected<std::vector<Value>> R = Exec.run();
-  ASSERT_FALSE(R.hasValue());
-  EXPECT_NE(R.error().Message.find("thread.start"), std::string::npos);
-  const RuntimeMetrics &M = Exec.metrics();
-  EXPECT_GE(M.FaultsEscalated, 1u);
-  EXPECT_GE(M.ThreadsRestarted, 2u); // at least one thread spent budget
-  EXPECT_GE(M.ThreadsErrored, 1u);
-}
-
-TEST(Supervision, FaultAfterFirstSendIsNotReplayed) {
-  // The producer's second send faults: the dying attempt already
-  // externalized one value, so replaying it could duplicate effects —
-  // the supervisor must escalate instead of restarting.
-  auto Built = mustBuild(programs::MessagePassing);
-  const Pipeline &P = Built->P;
-  FaultPlan Plan = *parseFaultSpec("chan.send=nth:2");
-  FaultInjector FI(Plan);
-  ParallelExecOptions O;
-  O.Faults = &FI;
-  O.MaxRestarts = 5;
-  O.WatchdogMillis = 10'000;
-  ParallelExec Exec(P.Checked, O);
-  Exec.spawn(sym(P, "producer"), {Value::intVal(10)});
-  Exec.spawn(sym(P, "consumer"), {Value::intVal(10)});
-  Expected<std::vector<Value>> R = Exec.run();
-  ASSERT_FALSE(R.hasValue());
-  const RuntimeMetrics &M = Exec.metrics();
-  EXPECT_EQ(M.ThreadsRestarted, 0u);
-  EXPECT_EQ(M.FaultsEscalated, 1u);
-}
-
 TEST(Supervision, PlainProgramErrorsStayFailFast) {
   // Division by zero is a program bug, not a fault: no restart even with
   // a budget (the pre-supervision fail-fast contract).

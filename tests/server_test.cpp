@@ -183,8 +183,8 @@ TEST(Wire, RequestEncodeDecodeRoundTrip) {
   R.Source = TinyProgram;
   R.Fn = "main";
   R.Args = {1, -2};
-  R.Oracle = false;
-  R.Engine = "interp";
+  R.Pipeline.UseOracle = false;
+  R.Pipeline.Engine = "interp";
   R.Workers = 3;
   R.Stats = true;
   Expected<WireRequest> Back = decodeRequest(encodeRequest(R));
@@ -194,10 +194,74 @@ TEST(Wire, RequestEncodeDecodeRoundTrip) {
   EXPECT_EQ(Back->Source, TinyProgram);
   EXPECT_EQ(Back->Fn, "main");
   EXPECT_EQ(Back->Args, (std::vector<int64_t>{1, -2}));
-  EXPECT_FALSE(Back->Oracle);
-  EXPECT_EQ(Back->Engine, "interp");
-  EXPECT_EQ(Back->Workers, 3);
+  EXPECT_FALSE(Back->Pipeline.UseOracle);
+  EXPECT_EQ(Back->Pipeline.Engine, "interp");
+  EXPECT_EQ(Back->Workers, std::optional<size_t>(3));
   EXPECT_TRUE(Back->Stats);
+}
+
+TEST(Wire, RequestEncodingIsPinned) {
+  // The JSON a client sends is part of the protocol: the same request
+  // must encode to the same bytes, whatever the structs look like.
+  WireRequest R;
+  R.Op = WireOp::Run;
+  R.Id = 42;
+  R.Name = "t.fls";
+  R.Source = "src";
+  R.Fn = "f";
+  R.Args = {1, -2};
+  R.Pipeline.UseOracle = false;
+  R.Pipeline.Interprocedural = false;
+  R.Pipeline.Checks = false;
+  R.Pipeline.Elide = false;
+  R.Pipeline.Engine = "interp";
+  R.Seed = 9;
+  R.Stats = true;
+  R.Metrics = true;
+  R.Workers = 3;
+  R.SchedSeed = 4;
+  R.Analysis.Json = true;
+  R.Analysis.DumpSummaries = true;
+  R.Werror = true;
+  EXPECT_EQ(encodeRequest(R),
+            "{\"v\":\"fearless-wire-v1\",\"op\":\"run\",\"id\":42,"
+            "\"name\":\"t.fls\",\"source\":\"src\",\"fn\":\"f\","
+            "\"args\":[1,-2],\"options\":{\"oracle\":false,"
+            "\"interprocedural\":false,\"checks\":false,\"elide\":false,"
+            "\"engine\":\"interp\",\"seed\":9,\"stats\":true,"
+            "\"metrics\":true,\"workers\":3,\"sched_seed\":4,"
+            "\"json\":true,\"summaries\":true,\"werror\":true}}");
+  // The machine is the default, encoded as -1.
+  WireRequest Default;
+  Default.Source = "src";
+  EXPECT_NE(encodeRequest(Default).find("\"workers\":-1"),
+            std::string::npos);
+  Expected<WireRequest> Back = decodeRequest(encodeRequest(Default));
+  ASSERT_TRUE(Back.hasValue());
+  EXPECT_FALSE(Back->Workers.has_value());
+}
+
+TEST(Handler, EmitChecksFollowsChecksAndWorkers) {
+  // The one place the bytecode's check emission is derived: checked
+  // bytecode for the deterministic machine, erased for --workers runs
+  // and for --no-checks.
+  auto EmitChecksOf = [](bool Checks, std::optional<size_t> Workers) {
+    Request R;
+    R.Source = TinyProgram;
+    R.Pipeline.Checks = Checks;
+    R.Workers = Workers;
+    bool Emit = false;
+    serveRequest(RequestOp::Check, R,
+                 [&](std::string_view Source, const PipelineOptions &PO) {
+                   Emit = PO.EmitChecks;
+                   return buildArtifact(Source, PO);
+                 });
+    return Emit;
+  };
+  EXPECT_TRUE(EmitChecksOf(true, std::nullopt));
+  EXPECT_FALSE(EmitChecksOf(true, 0));
+  EXPECT_FALSE(EmitChecksOf(true, 2));
+  EXPECT_FALSE(EmitChecksOf(false, std::nullopt));
 }
 
 //===----------------------------------------------------------------------===//
@@ -484,13 +548,56 @@ TEST_F(ServerTest, RunIsBitIdenticalToStandaloneArtifactRun) {
   EXPECT_EQ(O.Err, Cold->Err);
 }
 
+TEST_F(ServerTest, DaemonAnswersAsTheLocalHandlerUnderEveryOption) {
+  // fearlessc serves the same requests in-process through serveRequest
+  // over a fresh build; the daemon's answer must match it byte for byte
+  // under the options that change what is built or run.
+  startServerAt({});
+  WireClient C = connectClient();
+  std::vector<WireRequest> Reqs;
+  auto Add = [&](WireRequest R, auto Tweak) {
+    Tweak(R);
+    R.Id = static_cast<int64_t>(Reqs.size()) + 1;
+    Reqs.push_back(std::move(R));
+  };
+  Add(checkRequest(ListProgram), [](WireRequest &R) { R.Stats = true; });
+  Add(checkRequest(ListProgram),
+      [](WireRequest &R) { R.Pipeline.UseOracle = false; });
+  Add(checkRequest(BrokenProgram), [](WireRequest &) {});
+  Add(runRequest(ListProgram), [](WireRequest &R) { R.Workers = 1; });
+  Add(runRequest(ListProgram),
+      [](WireRequest &R) { R.Pipeline.Checks = false; });
+  Add(runRequest(ListProgram),
+      [](WireRequest &R) { R.Pipeline.Engine = "interp"; });
+  Add(runRequest(ListProgram), [](WireRequest &R) { R.Seed = 3; });
+  Add(runRequest(ListProgram), [](WireRequest &R) { R.Fn = "missing"; });
+  Add(analyzeRequest(ListProgram), [](WireRequest &R) {
+    R.Pipeline.Interprocedural = false;
+    R.Analysis.Json = true;
+  });
+  Add(analyzeRequest(ListProgram), [](WireRequest &R) { R.Werror = true; });
+  Add(analyzeRequest(BrokenProgram), [](WireRequest &) {});
+  for (const WireRequest &R : Reqs) {
+    Expected<WireResponse> Resp = C.request(R);
+    ASSERT_TRUE(Resp.hasValue()) << "request " << R.Id;
+    RunOutcome Local = serveRequest(
+        requestOp(R.Op), R,
+        [](std::string_view Source, const PipelineOptions &PO) {
+          return buildArtifact(Source, PO);
+        });
+    EXPECT_EQ(Resp->Exit, Local.Exit) << "request " << R.Id;
+    EXPECT_EQ(Resp->Out, Local.Out) << "request " << R.Id;
+    EXPECT_EQ(Resp->Err, Local.Err) << "request " << R.Id;
+  }
+}
+
 TEST_F(ServerTest, AnalyzeMatchesStandaloneAndLeavesTheCacheAlone) {
   startServerAt({});
   WireClient C = connectClient();
   ASSERT_TRUE(C.request(checkRequest(ListProgram, 1)).hasValue());
   RuntimeMetrics AfterCheck = S->metricsSnapshot();
   WireRequest Json = analyzeRequest(ListProgram, 2);
-  Json.Json = true;
+  Json.Analysis.Json = true;
   Expected<WireResponse> First = C.request(Json);
   Expected<WireResponse> Second = C.request(analyzeRequest(ListProgram, 3));
   ASSERT_TRUE(First.hasValue());

@@ -194,7 +194,9 @@ run_vm_smoke() {
 # through `fearlessc --daemon`, and hold the protocol to its contract
 # end to end (docs/SERVER.md): daemon stdout/stderr/exit bit-identical
 # to standalone on every example program plus a rejected and an
-# unparsable one (both the cold and the warm, cache-hit path),
+# unparsable one, under the default options and the ones that change
+# what is built or run (both the cold and the warm, cache-hit path), an
+# armed FEARLESS_FAULTS plan refused like --faults,
 # cache_hits advancing on a repeated request, analyze leaving the cache
 # alone, and a draining shutdown that removes the socket. The
 # socket-level abuse
@@ -227,10 +229,18 @@ run_server_smoke() {
     # Each command twice through the daemon: the first populates the
     # derivation cache, the second must hit it — and both must be
     # byte-identical to the standalone run (exit code included).
-    for cmd in "check" "run" "analyze" "analyze --json"; do
+    # Beside the defaults, the options that change what is built or
+    # run, so the one request mapping is held to the same equivalence.
+    for cmd in "check" "check --stats" "check --no-oracle" \
+               "run" "run --workers 1" "run --no-checks" \
+               "run --engine interp" "run --seed 3" \
+               "analyze" "analyze --json" \
+               "analyze --interprocedural=off --json" "analyze --werror"; do
       # shellcheck disable=SC2206
-      local -a argv=($cmd "$f")
-      [[ "$cmd" == run ]] && argv+=(main)
+      local -a words=($cmd)
+      local -a argv=("${words[0]}" "$f")
+      [[ "${words[0]}" == run ]] && argv+=(main)
+      argv+=("${words[@]:1}")
       s_exit=0
       s_out="$("$fc" "${argv[@]}" 2>"$dir/ci_srv_s.err")" || s_exit=$?
       local pass
@@ -249,6 +259,25 @@ run_server_smoke() {
       echo "    $cmd $base: exit $s_exit, cold == warm == standalone"
     done
   done
+
+  # The daemon cannot inject faults: an armed FEARLESS_FAULTS plan is
+  # refused exactly like --faults (exit 2, same message), never silently
+  # run fault-free.
+  local env_exit=0 flag_exit=0
+  FEARLESS_FAULTS="heap.alloc=nth:1" "$fc" --daemon "$sock" run \
+    "$ROOT/examples/dll_remove.fls" main >/dev/null \
+    2>"$dir/ci_srv_env.err" || env_exit=$?
+  "$fc" --daemon "$sock" --faults "heap.alloc=nth:1" run \
+    "$ROOT/examples/dll_remove.fls" main >/dev/null \
+    2>"$dir/ci_srv_flag.err" || flag_exit=$?
+  if [[ "$env_exit" != 2 || "$flag_exit" != 2 ]] ||
+     ! cmp -s "$dir/ci_srv_env.err" "$dir/ci_srv_flag.err"; then
+    echo "==> [$name] FAIL: FEARLESS_FAULTS under --daemon exited" \
+         "$env_exit (--faults: $flag_exit)" >&2
+    kill "$fd_pid" 2>/dev/null || true
+    exit 1
+  fi
+  echo "    FEARLESS_FAULTS under --daemon: refused like --faults (exit 2)"
 
   "$fc" --daemon "$sock" metrics >"$dir/ci_srv_metrics.json"
   # analyze builds fresh, outside the cache: it adds no hit and no miss.

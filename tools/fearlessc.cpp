@@ -30,11 +30,14 @@
 //   fearlessc metrics                   (--daemon only) daemon metrics
 //   fearlessc shutdown                  (--daemon only) drain the daemon
 //
-// The check/run pipeline itself lives in driver/CompilePipeline.h; this
-// file is argument parsing plus printing. With --daemon SOCKET the same
-// commands are served by a fearlessd instance over fearless-wire-v1
-// (docs/SERVER.md) with bit-identical output — warm submissions skip
-// parse/check/analyze/compile via the daemon's derivation cache.
+// The check/analyze/run pipeline itself lives in driver/CompilePipeline.h;
+// this file is argument parsing plus printing. argv parses straight into
+// one Request, which serveRequest — the handler fearlessd calls too —
+// answers in-process. With --daemon SOCKET the same request goes to a
+// fearlessd instance over fearless-wire-v1 (docs/SERVER.md) instead, with
+// bit-identical output: only where the artifact comes from differs, and
+// warm submissions skip parse/check/analyze/compile via the daemon's
+// derivation cache.
 //
 // Options: --interprocedural[=on|off] (bottom-up function summaries at
 // call sites, on by default; off restores pure signature havoc), --json
@@ -81,6 +84,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -168,11 +172,10 @@ Expected<std::string> readFile(const char *Path) {
 }
 
 struct Options {
-  bool UseOracle = true;
-  bool Checks = true;
-  bool Elide = true;
-  bool Stats = false;
-  bool Metrics = false;
+  /// check/analyze/run: argv parses straight into the request that is
+  /// then served locally or sent to the daemon (the other commands read
+  /// its pipeline and run fields too).
+  server::WireRequest Req;
   /// Chrome trace_event output path (empty = tracing off). Composes
   /// with --metrics: the trace goes to this file, metrics to stdout.
   std::string TracePath;
@@ -180,26 +183,6 @@ struct Options {
   /// empty = fall back to the FEARLESS_FAULTS env var, then disabled.
   std::string FaultSpec;
   bool FaultSpecSet = false;
-  uint64_t Seed = 0;
-  /// --engine: "vm" (register-bytecode VM, default) or "interp" (the
-  /// tree-walking interpreter, retained as the differential oracle).
-  std::string Engine = "vm";
-  /// --workers: run on ParallelExec's M:N task scheduler instead of the
-  /// deterministic abstract machine. 0 = auto-sized pool.
-  size_t Workers = 0;
-  bool WorkersSet = false;
-  /// --sched-seed: scheduling-decision seed for --workers runs.
-  uint64_t SchedSeed = 0;
-  /// --interprocedural[=on|off]: bottom-up function summaries at call
-  /// sites (default on; off = pure signature havoc).
-  bool Interprocedural = true;
-  /// --json: machine-readable analyze output.
-  bool Json = false;
-  /// --summaries: append the per-function summary dump to the report.
-  bool DumpSummaries = false;
-  /// --werror: lint diagnostics make `analyze` exit with the check
-  /// error code.
-  bool Werror = false;
   /// --daemon: fearlessd socket path; empty = standalone execution.
   std::string DaemonSocket;
   /// --spawn SPEC (repeatable): extra root threads for the deterministic
@@ -281,21 +264,6 @@ bool resolveFaultPlan(const Options &Opts, std::optional<FaultPlan> &Out) {
   return true;
 }
 
-/// The artifact-level option subset (the derivation-cache key side).
-/// Must mirror the daemon's mapping in Server::handleRequest so a
-/// standalone run and a daemon run of the same invocation build the
-/// same artifact.
-PipelineOptions pipelineOptions(const Options &Opts) {
-  PipelineOptions PO;
-  PO.UseOracle = Opts.UseOracle;
-  PO.Interprocedural = Opts.Interprocedural;
-  PO.Checks = Opts.Checks;
-  PO.Elide = Opts.Elide;
-  PO.EmitChecks = Opts.Checks && !Opts.WorkersSet;
-  PO.Engine = Opts.Engine;
-  return PO;
-}
-
 /// The --trace sink every local command shares. open() probes the path
 /// before any work, so an unwritable path is a clean up-front error, not
 /// a lost trace after minutes of execution; write() exports whatever was
@@ -355,38 +323,6 @@ buildFile(const char *Path, const PipelineOptions &PO, TraceSession *Trace,
   return *A;
 }
 
-int cmdCheck(const char *Path, const Options &Opts, TraceSession *Trace) {
-  int Exit = 0;
-  auto A = buildFile(Path, pipelineOptions(Opts), Trace, Exit);
-  if (!A)
-    return Exit;
-  std::fputs(renderCheckOutput(*A, Path, Opts.Stats).c_str(), stdout);
-  return 0;
-}
-
-int analyzeOne(std::string_view Source, const char *Name,
-               const Options &Opts, TraceSession *Trace) {
-  SourceAnalysisOptions AO;
-  AO.Interprocedural = Opts.Interprocedural;
-  AO.DumpSummaries = Opts.DumpSummaries;
-  AO.Json = Opts.Json;
-  RunOutcome O = renderAnalyzeOutput(
-      buildArtifact(Source, pipelineOptions(Opts), Trace), Source, Name, AO,
-      Opts.Werror);
-  std::fputs(O.Out.c_str(), stdout);
-  std::fputs(O.Err.c_str(), stderr);
-  return O.Exit;
-}
-
-int cmdAnalyze(const char *Path, const Options &Opts, TraceSession *Trace) {
-  Expected<std::string> Source = readFile(Path);
-  if (!Source) {
-    std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-    return 1;
-  }
-  return analyzeOne(*Source, Path, Opts, Trace);
-}
-
 /// The embedded sample programs, keyed by CLI name. Function-local
 /// static on purpose: MessagePassing/Extras point into composite
 /// std::strings built by Driver.cpp's dynamic initializers, so a
@@ -404,55 +340,47 @@ embeddedSamples() {
   return Samples;
 }
 
-int cmdAnalyzeSamples(const Options &Opts, TraceSession *Trace) {
-  int Rc = 0;
-  for (const auto &[Name, Source] : embeddedSamples())
-    Rc |= analyzeOne(Source, Name, Opts, Trace);
-  return Rc;
+/// check FILE, analyze FILE|--samples and run FILE FN [ints]: completes
+/// \p R from the positional arguments and the file's text, then hands it
+/// to \p Serve — once, or per embedded sample for analyze --samples with
+/// the exit codes OR-ed. \p Serve is the only difference between a
+/// standalone command and its --daemon form.
+int serveCommand(const std::vector<const char *> &Positional,
+                 server::WireRequest &R,
+                 const std::function<int(const server::WireRequest &)> &Serve) {
+  if (R.Op == server::WireOp::Analyze &&
+      !std::strcmp(Positional[1], "--samples")) {
+    int Rc = 0;
+    for (const auto &[Name, Text] : embeddedSamples()) {
+      R.Name = Name;
+      R.Source = Text;
+      Rc |= Serve(R);
+    }
+    return Rc;
+  }
+  R.Name = Positional[1];
+  if (R.Op == server::WireOp::Run) {
+    R.Fn = Positional[2];
+    for (size_t I = 3; I < Positional.size(); ++I)
+      R.Args.push_back(std::strtoll(Positional[I], nullptr, 10));
+  }
+  Expected<std::string> Source = readFile(Positional[1]);
+  if (!Source) {
+    std::fprintf(stderr, "%s\n", Source.error().render().c_str());
+    return ExitError;
+  }
+  R.Source = Source.take();
+  return Serve(R);
 }
 
-int cmdRun(const char *Path, const char *Fn,
-           const std::vector<int64_t> &Args, const Options &Opts,
-           TraceSession *Trace) {
-  // --faults / --spawn / --schedule: resolved up front so a malformed
-  // spec or an unreadable/corrupt schedule file is a clean error before
-  // any work.
-  std::optional<FaultPlan> Plan;
-  SpawnList Spawns;
-  if (!resolveFaultPlan(Opts, Plan) || !parseSpawns(Opts, Spawns))
-    return ExitUsage;
-  std::unique_ptr<FaultInjector> Faults;
-  if (Plan)
-    Faults = std::make_unique<FaultInjector>(*Plan);
-  std::optional<mc::Schedule> Sched;
-  if (!Opts.SchedulePath.empty()) {
-    Expected<mc::Schedule> S = mc::Schedule::loadFile(Opts.SchedulePath);
-    if (!S) {
-      std::fprintf(stderr, "fearlessc: %s\n", S.error().Message.c_str());
-      return ExitUsage;
-    }
-    Sched.emplace(S.take());
-  }
-
-  int Exit = 0;
-  auto A = buildFile(Path, pipelineOptions(Opts), Trace, Exit);
-  if (!A)
-    return Exit;
-
-  RunSpec Spec;
-  Spec.Fn = Fn;
-  Spec.Args = Args;
-  Spec.Seed = Opts.Seed;
-  Spec.Workers = Opts.Workers;
-  Spec.WorkersSet = Opts.WorkersSet;
-  Spec.SchedSeed = Opts.SchedSeed;
-  Spec.Stats = Opts.Stats;
-  Spec.Metrics = Opts.Metrics;
-  Spec.Faults = Faults.get();
-  Spec.Trace = Trace;
-  Spec.Spawns = std::move(Spawns);
-  Spec.Schedule = Sched ? &*Sched : nullptr;
-  RunOutcome O = runArtifact(*A, Spec);
+/// Serves \p R in this process: the shared request handler over a fresh
+/// build recorded into \p Trace.
+int serveLocally(const server::WireRequest &R, TraceSession *Trace) {
+  RunOutcome O = serveRequest(
+      server::requestOp(R.Op), R,
+      [Trace](std::string_view Source, const PipelineOptions &PO) {
+        return buildArtifact(Source, PO, Trace);
+      });
   std::fputs(O.Out.c_str(), stdout);
   std::fputs(O.Err.c_str(), stderr);
   return O.Exit;
@@ -460,21 +388,21 @@ int cmdRun(const char *Path, const char *Fn,
 
 int cmdMc(const char *Path, const char *Fn,
           const std::vector<int64_t> &Args, const Options &Opts,
-          TraceSession *Trace) {
-  std::optional<FaultPlan> Plan;
+          const std::optional<FaultPlan> &Plan, TraceSession *Trace) {
   SpawnList Spawns;
-  if (!resolveFaultPlan(Opts, Plan) || !parseSpawns(Opts, Spawns))
+  if (!parseSpawns(Opts, Spawns))
     return ExitUsage;
 
   // --mc-checks=off composes with the user's --no-checks: exploration
   // runs with dynamic reservation checks erased, while the §6 invariant
   // validator below still machine-checks every intermediate state —
-  // that asymmetry is the erasure-soundness gate.
-  bool EffChecks = Opts.Checks && Opts.McChecksOn;
-  Options ArtifactOpts = Opts;
-  ArtifactOpts.Checks = EffChecks;
+  // that asymmetry is the erasure-soundness gate. The exploring machine
+  // is always the deterministic one, so the bytecode follows the checks.
+  PipelineOptions PO = Opts.Req.Pipeline;
+  bool EffChecks = PO.Checks && Opts.McChecksOn;
+  PO.Checks = PO.EmitChecks = EffChecks;
   int Exit = 0;
-  auto A = buildFile(Path, pipelineOptions(ArtifactOpts), Trace, Exit);
+  auto A = buildFile(Path, PO, Trace, Exit);
   if (!A)
     return Exit;
   const CompiledArtifact &Art = *A;
@@ -506,7 +434,7 @@ int cmdMc(const char *Path, const char *Fn,
     MachineOptions MO;
     MO.CheckReservations = EffChecks;
     MO.StaticVerdicts = &Art.Verdicts;
-    MO.ElideDisconnect = Opts.Elide;
+    MO.ElideDisconnect = PO.Elide;
     MO.Faults = InjSlot.get();
     if (Art.VmCode)
       MO.VmCode = &*Art.VmCode;
@@ -557,7 +485,7 @@ int cmdMc(const char *Path, const char *Fn,
     return ExitError;
   }
 
-  if (Opts.Metrics) {
+  if (Opts.Req.Metrics) {
     RuntimeMetrics M;
     M.McSchedulesExplored = Rep->SchedulesExplored;
     M.McSchedulesPruned = Rep->SchedulesPruned;
@@ -583,8 +511,8 @@ int cmdMc(const char *Path, const char *Fn,
       Replay += " --spawn " + Spec;
     if (!EffChecks)
       Replay += " --no-checks";
-    if (Opts.Engine != "vm")
-      Replay += " --engine " + Opts.Engine;
+    if (PO.Engine != "vm")
+      Replay += " --engine " + PO.Engine;
     if (Opts.FaultSpecSet)
       Replay += " --faults " + Opts.FaultSpec;
     Replay += " --schedule " + Out;
@@ -636,11 +564,11 @@ int cmdMc(const char *Path, const char *Fn,
 }
 
 int cmdDisasm(const char *Path, const Options &Opts, TraceSession *Trace) {
-  PipelineOptions PO = pipelineOptions(Opts);
+  PipelineOptions PO = Opts.Req.Pipeline;
   // Disassembly always shows the bytecode with the checks --no-checks
   // controls, independent of --workers.
   PO.Engine = "vm";
-  PO.EmitChecks = Opts.Checks;
+  PO.EmitChecks = PO.Checks;
   int Exit = 0;
   auto A = buildFile(Path, PO, Trace, Exit);
   if (!A)
@@ -651,7 +579,7 @@ int cmdDisasm(const char *Path, const Options &Opts, TraceSession *Trace) {
 
 int cmdSig(const char *Path, const Options &Opts, TraceSession *Trace) {
   int Exit = 0;
-  auto A = buildFile(Path, pipelineOptions(Opts), Trace, Exit);
+  auto A = buildFile(Path, Opts.Req.Pipeline, Trace, Exit);
   if (!A)
     return Exit;
   const Interner &Names = A->P.Prog->Names;
@@ -667,7 +595,7 @@ int printDerivationOf(const char *Path, const char *Fn, const Options &Opts,
                       std::string (*Print)(const Derivation &,
                                            const Interner &)) {
   int Exit = 0;
-  auto A = buildFile(Path, pipelineOptions(Opts), Trace, Exit);
+  auto A = buildFile(Path, Opts.Req.Pipeline, Trace, Exit);
   if (!A)
     return Exit;
   const Interner &Names = A->P.Prog->Names;
@@ -714,29 +642,13 @@ int printResponse(const server::WireResponse &R) {
   return R.Exit;
 }
 
-/// Fills the wire request's option block from the parsed CLI options —
-/// the client-side half of the standalone/daemon equivalence.
-server::WireRequest baseRequest(const Options &Opts) {
-  server::WireRequest R;
-  R.Oracle = Opts.UseOracle;
-  R.Interprocedural = Opts.Interprocedural;
-  R.Checks = Opts.Checks;
-  R.Elide = Opts.Elide;
-  R.Engine = Opts.Engine;
-  R.Seed = Opts.Seed;
-  R.Stats = Opts.Stats;
-  R.Metrics = Opts.Metrics;
-  R.Workers = Opts.WorkersSet ? static_cast<int64_t>(Opts.Workers) : -1;
-  R.SchedSeed = Opts.SchedSeed;
-  R.Json = Opts.Json;
-  R.Summaries = Opts.DumpSummaries;
-  R.Werror = Opts.Werror;
-  return R;
-}
-
-int cmdDaemon(const std::vector<const char *> &Positional,
-              const Options &Opts) {
-  if (!Opts.TracePath.empty() || Opts.FaultSpecSet) {
+/// Serves the command through the fearlessd instance at --daemon.
+/// \p FaultsArmed: a fault plan (--faults or FEARLESS_FAULTS) is armed
+/// for a command that executes; the daemon cannot inject it, so the
+/// invocation is refused rather than silently run fault-free.
+int cmdDaemon(const std::vector<const char *> &Positional, Options &Opts,
+              bool FaultsArmed) {
+  if (!Opts.TracePath.empty() || Opts.FaultSpecSet || FaultsArmed) {
     std::fprintf(stderr, "fearlessc: --trace and --faults are local "
                          "debugging hooks; they do not compose with "
                          "--daemon\n");
@@ -749,14 +661,16 @@ int cmdDaemon(const std::vector<const char *> &Positional,
                          "compose with --daemon\n");
     return ExitUsage;
   }
-  const char *Cmd = Positional[0];
+  std::optional<server::WireOp> Op = server::parseOp(Positional[0]);
+  if (!Op)
+    return usage();
   server::WireClient Client;
   if (ExpectedVoid C = Client.connect(Opts.DaemonSocket); !C) {
     std::fprintf(stderr, "fearlessc: %s\n",
                  C.error().Message.c_str());
     return ExitError;
   }
-  auto roundTrip = [&](const server::WireRequest &R) {
+  auto RoundTrip = [&](const server::WireRequest &R) {
     Expected<server::WireResponse> Resp = Client.request(R);
     if (!Resp) {
       std::fprintf(stderr, "fearlessc: %s\n",
@@ -765,82 +679,56 @@ int cmdDaemon(const std::vector<const char *> &Positional,
     }
     return printResponse(*Resp);
   };
-
-  if (!std::strcmp(Cmd, "metrics") && Positional.size() == 1) {
-    server::WireRequest R = baseRequest(Opts);
-    R.Op = server::WireOp::Metrics;
-    return roundTrip(R);
-  }
-  if (!std::strcmp(Cmd, "shutdown") && Positional.size() == 1) {
-    server::WireRequest R = baseRequest(Opts);
-    R.Op = server::WireOp::Shutdown;
-    return roundTrip(R);
-  }
-  // check, analyze FILE and run send the file's text, like standalone.
-  auto fileRequest = [&](server::WireOp Op) {
-    Expected<std::string> Source = readFile(Positional[1]);
-    if (!Source) {
-      std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-      return ExitError;
-    }
-    server::WireRequest R = baseRequest(Opts);
-    R.Op = Op;
-    R.Name = Positional[1];
-    R.Source = Source.take();
-    if (Op == server::WireOp::Run) {
-      R.Fn = Positional[2];
-      for (size_t I = 3; I < Positional.size(); ++I)
-        R.Args.push_back(std::strtoll(Positional[I], nullptr, 10));
-    }
-    return roundTrip(R);
-  };
-  if (!std::strcmp(Cmd, "check") && Positional.size() == 2)
-    return fileRequest(server::WireOp::Check);
-  if (!std::strcmp(Cmd, "analyze") && Positional.size() == 2) {
-    if (!std::strcmp(Positional[1], "--samples")) {
-      // Mirrors cmdAnalyzeSamples: one request per embedded sample on
-      // the same connection, exit codes OR-ed.
-      int Rc = 0;
-      for (const auto &[Name, Text] : embeddedSamples()) {
-        server::WireRequest R = baseRequest(Opts);
-        R.Op = server::WireOp::Analyze;
-        R.Name = Name;
-        R.Source = Text;
-        Rc |= roundTrip(R);
-      }
-      return Rc;
-    }
-    return fileRequest(server::WireOp::Analyze);
-  }
-  if (!std::strcmp(Cmd, "run") && Positional.size() >= 3)
-    return fileRequest(server::WireOp::Run);
-  return usage();
+  Opts.Req.Op = *Op;
+  if (*Op == server::WireOp::Metrics || *Op == server::WireOp::Shutdown)
+    return Positional.size() == 1 ? RoundTrip(Opts.Req) : usage();
+  return serveCommand(Positional, Opts.Req, RoundTrip);
 }
 
 /// Dispatches a standalone command; \p Trace, when set, receives the
 /// compiler lane of every build and the execution engines' events.
-int runCommand(const std::vector<const char *> &Positional,
-               const Options &Opts, TraceSession *Trace) {
+int runCommand(const std::vector<const char *> &Positional, Options &Opts,
+               const std::optional<FaultPlan> &Plan, TraceSession *Trace) {
   const char *Cmd = Positional[0];
+  std::optional<server::WireOp> Op = server::parseOp(Cmd);
+  if (Op && *Op != server::WireOp::Metrics &&
+      *Op != server::WireOp::Shutdown) {
+    server::WireRequest &R = Opts.Req;
+    R.Op = *Op;
+    // run's --spawn / --schedule: resolved up front so a malformed spec
+    // or an unreadable/corrupt schedule file is a clean error before any
+    // work.
+    std::optional<mc::Schedule> Sched;
+    if (*Op == server::WireOp::Run) {
+      if (!parseSpawns(Opts, R.Spawns))
+        return ExitUsage;
+      if (!Opts.SchedulePath.empty()) {
+        Expected<mc::Schedule> S = mc::Schedule::loadFile(Opts.SchedulePath);
+        if (!S) {
+          std::fprintf(stderr, "fearlessc: %s\n", S.error().Message.c_str());
+          return ExitUsage;
+        }
+        R.Schedule = &Sched.emplace(S.take());
+      }
+    }
+    std::optional<FaultInjector> Faults;
+    if (Plan)
+      R.Faults = &Faults.emplace(*Plan);
+    R.Trace = Trace;
+    return serveCommand(Positional, R, [Trace](const server::WireRequest &Q) {
+      return serveLocally(Q, Trace);
+    });
+  }
   auto IntArgs = [&] {
     std::vector<int64_t> Args;
     for (size_t I = 3; I < Positional.size(); ++I)
       Args.push_back(std::strtoll(Positional[I], nullptr, 10));
     return Args;
   };
-  if (!std::strcmp(Cmd, "check") && Positional.size() == 2)
-    return cmdCheck(Positional[1], Opts, Trace);
-  if (!std::strcmp(Cmd, "analyze") && Positional.size() == 2) {
-    if (!std::strcmp(Positional[1], "--samples"))
-      return cmdAnalyzeSamples(Opts, Trace);
-    return cmdAnalyze(Positional[1], Opts, Trace);
-  }
-  if (!std::strcmp(Cmd, "run") && Positional.size() >= 3)
-    return cmdRun(Positional[1], Positional[2], IntArgs(), Opts, Trace);
   if (!std::strcmp(Cmd, "mc") && Positional.size() >= 2)
     return cmdMc(Positional[1],
                  Positional.size() >= 3 ? Positional[2] : "main", IntArgs(),
-                 Opts, Trace);
+                 Opts, Plan, Trace);
   if (!std::strcmp(Cmd, "disasm") && Positional.size() == 2)
     return cmdDisasm(Positional[1], Opts, Trace);
   if (!std::strcmp(Cmd, "sig") && Positional.size() == 2)
@@ -866,19 +754,19 @@ int main(int argc, char **argv) {
   std::vector<const char *> Positional;
   for (int I = 1; I < argc; ++I) {
     if (!std::strcmp(argv[I], "--no-oracle"))
-      Opts.UseOracle = false;
+      Opts.Req.Pipeline.UseOracle = false;
     else if (!std::strcmp(argv[I], "--no-checks"))
-      Opts.Checks = false;
+      Opts.Req.Pipeline.Checks = false;
     else if (!std::strcmp(argv[I], "--no-elide"))
-      Opts.Elide = false;
+      Opts.Req.Pipeline.Elide = false;
     else if (!std::strcmp(argv[I], "--interprocedural"))
-      Opts.Interprocedural = true;
+      Opts.Req.Pipeline.Interprocedural = true;
     else if (!std::strncmp(argv[I], "--interprocedural=", 18)) {
       const char *V = argv[I] + 18;
       if (!std::strcmp(V, "on"))
-        Opts.Interprocedural = true;
+        Opts.Req.Pipeline.Interprocedural = true;
       else if (!std::strcmp(V, "off"))
-        Opts.Interprocedural = false;
+        Opts.Req.Pipeline.Interprocedural = false;
       else {
         std::fprintf(stderr,
                      "fearlessc: bad --interprocedural value '%s' "
@@ -887,27 +775,26 @@ int main(int argc, char **argv) {
         return ExitUsage;
       }
     } else if (!std::strcmp(argv[I], "--json"))
-      Opts.Json = true;
+      Opts.Req.Analysis.Json = true;
     else if (!std::strcmp(argv[I], "--summaries"))
-      Opts.DumpSummaries = true;
+      Opts.Req.Analysis.DumpSummaries = true;
     else if (!std::strcmp(argv[I], "--werror"))
-      Opts.Werror = true;
+      Opts.Req.Werror = true;
     else if (!std::strcmp(argv[I], "--stats"))
-      Opts.Stats = true;
+      Opts.Req.Stats = true;
     else if (!std::strcmp(argv[I], "--metrics"))
-      Opts.Metrics = true;
+      Opts.Req.Metrics = true;
     else if (!std::strcmp(argv[I], "--trace") && I + 1 < argc)
       Opts.TracePath = argv[++I];
     else if (!std::strcmp(argv[I], "--faults") && I + 1 < argc) {
       Opts.FaultSpec = argv[++I];
       Opts.FaultSpecSet = true;
     } else if (!std::strcmp(argv[I], "--seed") && I + 1 < argc)
-      Opts.Seed = std::strtoull(argv[++I], nullptr, 10);
-    else if (!std::strcmp(argv[I], "--workers") && I + 1 < argc) {
-      Opts.Workers = std::strtoull(argv[++I], nullptr, 10);
-      Opts.WorkersSet = true;
-    } else if (!std::strcmp(argv[I], "--sched-seed") && I + 1 < argc)
-      Opts.SchedSeed = std::strtoull(argv[++I], nullptr, 10);
+      Opts.Req.Seed = std::strtoull(argv[++I], nullptr, 10);
+    else if (!std::strcmp(argv[I], "--workers") && I + 1 < argc)
+      Opts.Req.Workers = std::strtoull(argv[++I], nullptr, 10);
+    else if (!std::strcmp(argv[I], "--sched-seed") && I + 1 < argc)
+      Opts.Req.SchedSeed = std::strtoull(argv[++I], nullptr, 10);
     else if (!std::strcmp(argv[I], "--spawn") && I + 1 < argc)
       Opts.SpawnSpecs.push_back(argv[++I]);
     else if (!std::strcmp(argv[I], "--schedule") && I + 1 < argc)
@@ -947,39 +834,50 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(argv[I], "--mc-out") && I + 1 < argc)
       Opts.McOut = argv[++I];
     else if (!std::strcmp(argv[I], "--engine") && I + 1 < argc)
-      Opts.Engine = argv[++I];
+      Opts.Req.Pipeline.Engine = argv[++I];
     else if (!std::strncmp(argv[I], "--engine=", 9))
-      Opts.Engine = argv[I] + 9;
+      Opts.Req.Pipeline.Engine = argv[I] + 9;
     else if (!std::strcmp(argv[I], "--daemon") && I + 1 < argc)
       Opts.DaemonSocket = argv[++I];
     else
       Positional.push_back(argv[I]);
   }
-  if (Opts.Engine != "vm" && Opts.Engine != "interp") {
+  const std::string &Engine = Opts.Req.Pipeline.Engine;
+  if (Engine != "vm" && Engine != "interp") {
     std::fprintf(stderr, "fearlessc: unknown engine '%s' (expected vm "
                          "or interp)\n",
-                 Opts.Engine.c_str());
+                 Engine.c_str());
     return ExitUsage;
   }
   if (Positional.empty())
     return usage();
 
   const char *Cmd = Positional[0];
-  if (Opts.Metrics && std::strcmp(Cmd, "run") && std::strcmp(Cmd, "mc")) {
+  if (Opts.Req.Metrics && std::strcmp(Cmd, "run") && std::strcmp(Cmd, "mc")) {
     std::fprintf(stderr,
                  "fearlessc: --metrics reports what a run executed; "
                  "'%s' executes nothing (use it with run or mc)\n",
                  Cmd);
     return ExitUsage;
   }
+  bool IsRun = !std::strcmp(Cmd, "run");
+  if ((IsRun && Positional.size() < 3) ||
+      ((!std::strcmp(Cmd, "check") || !std::strcmp(Cmd, "analyze")) &&
+       Positional.size() != 2))
+    return usage();
+  // The fault plan of the commands that execute, resolved once: a
+  // malformed spec is an invocation error before any work, and an armed
+  // plan cannot be honored by the daemon.
+  std::optional<FaultPlan> Plan;
+  if ((IsRun || !std::strcmp(Cmd, "mc")) && !resolveFaultPlan(Opts, Plan))
+    return ExitUsage;
   if (!Opts.DaemonSocket.empty())
-    return cmdDaemon(Positional, Opts);
+    return cmdDaemon(Positional, Opts, Plan.has_value());
 
   TraceSink Sink{Opts.TracePath, {}};
   if (!Sink.open())
     return ExitError;
-  int Rc = runCommand(Positional, Opts,
+  int Rc = runCommand(Positional, Opts, Plan,
                       Opts.TracePath.empty() ? nullptr : &Sink.Session);
   return Sink.write() ? Rc : ExitError;
 }
-
